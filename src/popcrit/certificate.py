@@ -28,7 +28,7 @@ from typing import Mapping, NamedTuple, Optional
 from .matchings import (
     Correspondence,
     Matching,
-    check_matching,
+    deficiency,
     validate_correspondence,
     vote,
 )
@@ -105,7 +105,8 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     last-resorts only when they are themselves matched to one; vertices
     holding more than their lower quota connect every clone to every one
     of their last-resorts.  Raises ValueError when a matched edge has no
-    recorded level.
+    recorded level or the matching breaks an upper quota or uses a
+    non-edge.
     """
     m = leveled.matching
     for pair in m.pairs:
@@ -131,18 +132,13 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
             for k in range(q.upper - q.lower)
         ]
 
-    def side_deficiency(side: Side) -> int:
-        return sum(
-            max(0, inst.lower(v) - len(m.partners(v)))
-            for v in inst.vertices(side)
-        )
-
+    short = deficiency(inst, m)
     dummies = {
         side: tuple(
             CloneId(CloneKind.DUMMY, side, _NO_OWNER, k + 1)
-            for k in range(side_deficiency(side))
+            for k in range(total)
         )
-        for side in (Side.A, Side.B)
+        for side, total in ((Side.A, short.total_a), (Side.B, short.total_b))
     }
 
     mstar: dict[CloneId, CloneId] = {}
@@ -167,7 +163,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     for side, dummy_level in ((Side.A, top), (Side.B, 0)):
         pool = iter(dummies[side])
         for v in inst.vertices(side):
-            for _ in range(max(0, inst.lower(v) - len(m.partners(v)))):
+            for _ in range(short.per_vertex[v]):
                 clone = take_clone(v)
                 dummy = next(pool)
                 mstar[clone] = dummy
@@ -432,17 +428,13 @@ def map_matching_to_clones(
     else is rejected.
     """
     m = g.leveled.matching
-    check_matching(inst, n)
+    short = deficiency(inst, n)
     validate_correspondence(inst, n, m, corr)
-    for side in (Side.A, Side.B):
-        short = sum(
-            max(0, inst.lower(v) - len(n.partners(v)))
-            for v in inst.vertices(side)
-        )
-        if short != len(g.dummies[side]):
+    for side, total in ((Side.A, short.total_a), (Side.B, short.total_b)):
+        if total != len(g.dummies[side]):
             raise ValueError(
                 f"rival is not critical: side {side.value} deficiency "
-                f"{short} != {len(g.dummies[side])} dummies"
+                f"{total} != {len(g.dummies[side])} dummies"
             )
 
     corr_of: dict[tuple[VertexId, VertexId], Optional[VertexId]] = {}
@@ -451,10 +443,13 @@ def map_matching_to_clones(
             if x is not None:
                 corr_of[(v, x)] = y
 
+    # Clones and last-resorts of each owner, in ordinal order.
     clones_of: dict[VertexId, list[CloneId]] = {}
+    resorts_of: dict[VertexId, list[CloneId]] = {}
     for u in g.vertices:
-        if u.kind is CloneKind.CLONE:
-            clones_of.setdefault(_owner(u), []).append(u)
+        if u.kind is not CloneKind.DUMMY:
+            kept = clones_of if u.kind is CloneKind.CLONE else resorts_of
+            kept.setdefault(_owner(u), []).append(u)
 
     nstar: dict[CloneId, CloneId] = {}
 
@@ -490,15 +485,17 @@ def map_matching_to_clones(
         assert ai is not None and bj is not None, "ran out of clones"
         bond(ai, bj)
 
+    # Only the two loops below bond dummies, each to the first free one of
+    # its side, so a cursor per side finds it.
+    free_dummies = {side: iter(g.dummies[side]) for side in (Side.A, Side.B)}
+
     for v in inst.all_vertices():
-        if inst.lower(v) <= len(n.partners(v)):
+        if not short.per_vertex[v]:
             continue
         for u in clones_of[v]:
             if u in nstar or u in g.lr_adjacent:
                 continue
-            dummy = next(
-                (d for d in g.dummies[v.side] if d not in nstar), None
-            )
+            dummy = next(free_dummies[v.side], None)
             assert dummy is not None, "dummies exhausted for a deficient vertex"
             bond(u, dummy)
 
@@ -506,20 +503,15 @@ def map_matching_to_clones(
         for u in clones_of[v]:
             if u in nstar:
                 continue
-            dummy = next(
-                (d for d in g.dummies[v.side] if d not in nstar), None
-            )
+            dummy = next(free_dummies[v.side], None)
             if dummy is not None:
                 bond(u, dummy)
                 continue
             resort = next(
                 (
                     r
-                    for r in sorted(g.vertices)
-                    if r.kind is CloneKind.LAST_RESORT
-                    and _owner(r) == v
-                    and r not in nstar
-                    and g.canonical(u, r) in g.edges
+                    for r in resorts_of.get(v, ())
+                    if r not in nstar and g.canonical(u, r) in g.edges
                 ),
                 None,
             )

@@ -10,29 +10,24 @@ bijection pair, +1 for a preferred partner, -1 for a worse one, where any
 real partner beats bottom.  Bottom therefore shows up only on the side
 where the vertex holds fewer real partners, exactly as many times as the
 shortfall.  ``delta`` totals the votes for a given correspondence and
-``max_delta`` maximizes over all correspondences, which decomposes into one
-small assignment problem per vertex.
+``max_delta`` maximizes over all correspondences, one vertex at a time.
+
+No pair ever ties: preference lists are strict, the gained and lost
+partner sets are disjoint, and bottom pads only one side.  So a vertex
+pairing k positions casts 2*wins - k, and its best total comes from the
+most wins, which a sort-and-count greedy finds exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import Instance, Side, VertexId
 
 Edge = tuple[VertexId, VertexId]
 CorrPair = tuple[Optional[VertexId], Optional[VertexId]]
-
-# Largest per-vertex assignment solved by trying every permutation; bigger
-# tables go to the Hungarian routine.  Tests exercise both routes on sizes
-# where they overlap.
-_PERMUTATION_LIMIT = 5
 
 
 class MatchingError(ValueError):
@@ -99,10 +94,15 @@ def deficiency(inst: Instance, m: Matching) -> DeficiencyReport:
     per_vertex = {}
     totals = {Side.A: 0, Side.B: 0}
     for v in inst.all_vertices():
-        short = max(0, inst.lower(v) - len(m.partners(v)))
+        short = shortfall(inst, m, v)
         per_vertex[v] = short
         totals[v.side] += short
     return DeficiencyReport(per_vertex, totals[Side.A], totals[Side.B])
+
+
+def shortfall(inst: Instance, m: Matching, v: VertexId) -> int:
+    """How far m leaves v below its lower quota."""
+    return max(0, inst.lower(v) - len(m.partners(v)))
 
 
 def is_feasible(inst: Instance, m: Matching) -> bool:
@@ -239,27 +239,23 @@ def vertex_gain(
     """Best vote total v can cast for partner set new_side over old_side.
 
     The smaller partner-set difference is padded with bottoms up to the
-    larger one before maximizing over bijections: a vertex gaining
-    positions plays the surplus new partners against bottom, a vertex
-    losing positions plays bottom against the departed ones, and no
-    bottom-versus-bottom pairs exist.
+    larger one: a vertex gaining positions plays the surplus new partners
+    against bottom, a vertex losing positions plays bottom against the
+    departed ones, and no bottom-versus-bottom pairs exist.  With both
+    lists sorted worst first, each gained partner takes the worst lost
+    partner it still beats, which yields the most wins over all bijections.
     """
-    gained = sorted(new_side - old_side)
-    lost = sorted(old_side - new_side)
-    if not gained and not lost:
-        return 0
+    gained = sorted((inst.rank(v, u) for u in new_side - old_side), reverse=True)
+    lost = sorted((inst.rank(v, u) for u in old_side - new_side), reverse=True)
     size = max(len(gained), len(lost))
-    rows: list[Optional[VertexId]] = list(gained) + [None] * (size - len(gained))
-    cols: list[Optional[VertexId]] = list(lost) + [None] * (size - len(lost))
-    table = [[vote(inst, v, x, y) for y in cols] for x in rows]
-    if size <= _PERMUTATION_LIMIT:
-        return max(
-            sum(table[i][j] for i, j in enumerate(perm))
-            for perm in itertools.permutations(range(size))
-        )
-    weights = np.array(table)
-    rows_idx, cols_idx = linear_sum_assignment(weights, maximize=True)
-    return int(weights[rows_idx, cols_idx].sum())
+    bottom = len(inst.pref(v))
+    gained = [bottom] * (size - len(gained)) + gained
+    lost = [bottom] * (size - len(lost)) + lost
+    wins = 0
+    for r in gained:
+        if r < lost[wins]:
+            wins += 1
+    return 2 * wins - size
 
 
 def random_correspondence(

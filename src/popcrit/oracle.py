@@ -5,7 +5,7 @@ computes the minimum total deficiency and the set of matchings attaining
 it, and filters that set down to the matchings popular within it.  The
 oracle is deliberately independent of the solver so the two can be played
 against each other in tests; it shares only the per-vertex vote kernel
-with ``matchings.max_delta``.
+with ``matchings.max_delta`` and the per-vertex ``matchings.shortfall``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .matchings import Matching, max_delta, vertex_gain
+from .matchings import Matching, max_delta, shortfall, vertex_gain
 from .model import Instance, Side, VertexId
 
 DEFAULT_EDGE_BUDGET = 14
@@ -56,14 +56,30 @@ def enumerate_matchings(
         yield Matching(pairs)
 
 
+def _with_deficiencies(
+    inst: Instance, max_edges: int
+) -> Iterator[tuple[Matching, tuple[int, int]]]:
+    """Every matching with its A-side and B-side deficiencies.
+
+    Vertices whose lower quota is 0 never fall short, so they are skipped.
+    """
+    sides = [
+        [v for v in inst.vertices(side) if inst.lower(v)]
+        for side in (Side.A, Side.B)
+    ]
+    for m in enumerate_matchings(inst, max_edges):
+        da, db = (sum(shortfall(inst, m, v) for v in vs) for vs in sides)
+        yield m, (da, db)
+
+
 def critical_set(
     inst: Instance, max_edges: int = DEFAULT_EDGE_BUDGET
 ) -> tuple[int, list[Matching]]:
     """The minimum total deficiency and every matching attaining it."""
     best = None
     out: list[Matching] = []
-    for m in enumerate_matchings(inst, max_edges):
-        d = _total_deficiency(inst, m)
+    for m, (da, db) in _with_deficiencies(inst, max_edges):
+        d = da + db
         if best is None or d < best:
             best, out = d, [m]
         elif d == best:
@@ -101,17 +117,12 @@ def oracle_solve(
     those popular against every other critical matching together with the
     largest size such a matching reaches.
     """
-    all_matchings: list[Matching] = []
-    defs: list[tuple[int, int]] = []
-    for m in enumerate_matchings(inst, max_edges):
-        all_matchings.append(m)
-        defs.append(_side_deficiencies(inst, m))
+    scored = list(_with_deficiencies(inst, max_edges))
+    defs = [d for _, d in scored]
     min_def_a = min(da for da, _ in defs)
     min_def_b = min(db for _, db in defs)
     min_total = min(da + db for da, db in defs)
-    critical = [
-        (m, d) for m, d in zip(all_matchings, defs) if d[0] + d[1] == min_total
-    ]
+    critical = [(m, d) for m, d in scored if d[0] + d[1] == min_total]
 
     vertices = list(inst.all_vertices())
     partner_sets = [
@@ -158,7 +169,7 @@ def oracle_solve(
             popular.append(critical[i][0])
 
     return OracleResult(
-        matching_count=len(all_matchings),
+        matching_count=len(scored),
         min_deficiency=min_total,
         min_def_a=min_def_a,
         min_def_b=min_def_b,
@@ -166,17 +177,3 @@ def oracle_solve(
         popular_critical=tuple(popular),
         max_popular_size=max((m.size for m in popular), default=0),
     )
-
-
-def _total_deficiency(inst: Instance, m: Matching) -> int:
-    da, db = _side_deficiencies(inst, m)
-    return da + db
-
-
-def _side_deficiencies(inst: Instance, m: Matching) -> tuple[int, int]:
-    totals = {Side.A: 0, Side.B: 0}
-    for v in inst.all_vertices():
-        lower = inst.lower(v)
-        if lower:
-            totals[v.side] += max(0, lower - len(m.partners(v)))
-    return totals[Side.A], totals[Side.B]

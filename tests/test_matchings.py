@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from popcrit import (
@@ -210,21 +214,60 @@ def test_max_delta_is_exact_over_enumerated_correspondences(short_supply):
         assert max(values) == max_delta(short_supply, m2, rival), name
 
 
-def test_vertex_gain_uses_assignment_route_above_permutation_limit():
-    lines = ["A a0 0 6"]
-    lines += [f"B b{i} 0 1" for i in range(1, 13)]
-    lines.append("PREF a0 " + " ".join(f"b{i}" for i in range(1, 13)))
-    lines += [f"PREF b{i} a0" for i in range(1, 13)]
-    inst = parse_instance("\n".join(lines))
-    a0 = VertexId(Side.A, 0)
-    old = frozenset(VertexId(Side.B, i) for i in range(6))
-    new = frozenset(VertexId(Side.B, i) for i in range(6, 12))
-    got = vertex_gain(inst, a0, new, old)
-    best = max(
-        sum(vote(inst, a0, x, y) for x, y in zip(sorted(new), perm))
-        for perm in itertools.permutations(sorted(old))
+# One A-vertex that finds all of b0..b13 acceptable, in order, so that
+# gained and lost sets of up to 7 partners each fit without overlap.
+_ONE_VERTEX = parse_instance(
+    "\n".join(
+        ["A a0 0 7"]
+        + [f"B b{i} 0 1" for i in range(14)]
+        + ["PREF a0 " + " ".join(f"b{i}" for i in range(14))]
+        + [f"PREF b{i} a0" for i in range(14)]
     )
-    assert got == best == -6
+)
+
+
+def _brute_force_gain(inst, v, new_side, old_side):
+    """Best vote total over every bijection of the padded differences."""
+    gained = sorted(new_side - old_side)
+    lost = sorted(old_side - new_side)
+    size = max(len(gained), len(lost))
+    rows = gained + [None] * (size - len(gained))
+    cols = lost + [None] * (size - len(lost))
+    table = [[vote(inst, v, x, y) for y in cols] for x in rows]
+    return max(
+        sum(row[j] for row, j in zip(table, perm))
+        for perm in itertools.permutations(range(size))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gained=st.sets(st.integers(min_value=0, max_value=13), max_size=7),
+    lost=st.sets(st.integers(min_value=0, max_value=13), max_size=7),
+)
+@example(gained=set(range(6, 12)), lost=set(range(6)))  # every gain worse: -6
+def test_vertex_gain_matches_brute_force(gained, lost):
+    a0 = VertexId(Side.A, 0)
+    new = frozenset(VertexId(Side.B, i) for i in gained - lost)
+    old = frozenset(VertexId(Side.B, i) for i in lost)
+    want = _brute_force_gain(_ONE_VERTEX, a0, new, old)
+    assert vertex_gain(_ONE_VERTEX, a0, new, old) == want
+    if len(new) == len(old) and new and min(new) > max(old):
+        assert want == -len(new)
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    code = (
+        "import sys, popcrit\n"
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- properties
