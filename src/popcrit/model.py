@@ -88,7 +88,7 @@ class Instance:
 
     def pref_lq(self, v: VertexId) -> tuple[VertexId, ...]:
         """The preference list of v restricted to lower-quota neighbors."""
-        return tuple(u for u in self.pref(v) if self.is_lq(u))
+        return self._prefs_lq[v]
 
     def rank(self, v: VertexId, u: VertexId) -> int:
         """Position of u in v's preference list (0 is best).
@@ -113,6 +113,13 @@ class Instance:
         return out
 
     @cached_property
+    def _prefs_lq(self) -> dict[VertexId, tuple[VertexId, ...]]:
+        return {
+            v: tuple(u for u in self.pref(v) if self.is_lq(u))
+            for v in self.all_vertices()
+        }
+
+    @cached_property
     def edges(self) -> frozenset[tuple[VertexId, VertexId]]:
         """All mutually acceptable (a, b) pairs."""
         return frozenset(
@@ -127,8 +134,14 @@ class Instance:
         return out
 
     def sum_lower(self, side: Side) -> int:
-        quotas = self.a_quotas if side is Side.A else self.b_quotas
-        return sum(q.lower for q in quotas)
+        return self._lower_sums[side]
+
+    @cached_property
+    def _lower_sums(self) -> dict[Side, int]:
+        return {
+            Side.A: sum(q.lower for q in self.a_quotas),
+            Side.B: sum(q.lower for q in self.b_quotas),
+        }
 
 
 @dataclass

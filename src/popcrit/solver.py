@@ -36,6 +36,11 @@ Edge = tuple[VertexId, VertexId]
 Rejection = Optional[tuple[VertexId, int]]
 
 
+class InvariantError(RuntimeError):
+    """Raised when the solver breaks one of its own invariants; this is a
+    bug in the solver, never a property of the input."""
+
+
 @dataclass(frozen=True)
 class LeveledMatching:
     """A matching plus the level at which each edge was formed and the
@@ -58,11 +63,8 @@ class ProposalEvent:
     receiver: VertexId
     receiver_capacity: int
     rejected: Rejection
-    snapshot: frozenset[tuple[VertexId, VertexId, int]]
-
-    @property
-    def matching_size(self) -> int:
-        return len(self.snapshot)
+    # Number of matched edges just after this proposal.
+    matching_size: int
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,8 @@ class SolverState:
         return state
 
     def enqueue(self, a: VertexId, level: int) -> None:
-        assert a not in self.queued, "at most one queued copy per vertex"
+        if a in self.queued:
+            raise InvariantError(f"{self.inst.name(a)} is already queued")
         self.queue.append((a, level))
         self.queued.add(a)
         if level > self.max_level.get(a, -1):
@@ -193,7 +196,11 @@ def decide_acc_rej(
     if existing is not None:
         # The cursor discipline makes a repeat proposal to a partner at the
         # same or higher level impossible.
-        assert existing < level
+        if existing >= level:
+            raise InvariantError(
+                f"{inst.name(a)} proposed to {inst.name(b)} again at level "
+                f"{level}, already matched at level {existing}"
+            )
         state.b_partners[b][a] = level
         state.edge_levels[(a, b)] = level
     elif len(state.b_partners[b]) < q_b:
@@ -242,9 +249,15 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
             q_b = receiver_capacity(inst, state, b, level)
             rejected = decide_acc_rej(state, a, level, q_a, b, q_b)
             state.proposal_count += 1
-            assert state.proposal_count <= budget, "proposal budget exceeded"
-            assert len(state.b_partners[b]) <= inst.upper(b)
-            assert len(state.a_partners[a]) <= inst.upper(a)
+            if state.proposal_count > budget:
+                raise InvariantError(f"proposal budget {budget} exceeded")
+            if (
+                len(state.a_partners[a]) > inst.upper(a)
+                or len(state.b_partners[b]) > inst.upper(b)
+            ):
+                raise InvariantError(
+                    f"{inst.name(a)} or {inst.name(b)} is over its upper quota"
+                )
             events.append(
                 ProposalEvent(
                     seq=state.proposal_count,
@@ -254,9 +267,7 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
                     receiver=b,
                     receiver_capacity=q_b,
                     rejected=rejected,
-                    snapshot=frozenset(
-                        (x, y, lvl) for (x, y), lvl in state.edge_levels.items()
-                    ),
+                    matching_size=len(state.edge_levels),
                 )
             )
         elif level < state.t:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,19 @@ import pytest
 from popcrit import Correspondence, Instance, parse_instance
 
 DATA = Path(__file__).parent / "data"
+
+
+def run_python(code: str, *flags: str) -> str:
+    """Run code in a fresh interpreter that imports popcrit from this
+    checkout, and return its stripped standard output."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
 
 
 def load_instance(name: str) -> Instance:

@@ -3,7 +3,8 @@
 One test per shipped guarantee: exact values on the three reference
 fixtures, then certificate, oracle-agreement, lift-weight, proposal-budget
 and side-minima sweeps over a deterministic family of 500 seeded random
-instances small enough for exhaustive enumeration.
+instances small enough for exhaustive enumeration, and last a certificate
+check on one instance far beyond the reach of enumeration.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from popcrit import (
     Side,
     VertexId,
     build_cloned_graph,
+    check_output_properties,
     clone_matching_weight,
     critical_set,
     deficiency,
@@ -196,3 +198,17 @@ def test_8_critical_matchings_attain_both_side_minima(suite):
         for d in defs:
             if d.total == min_total:
                 assert (d.total_a, d.total_b) == (min_a, min_b)
+
+
+def test_9_certificate_holds_at_scale():
+    params = GenParams(
+        n_a=200, n_b=200, edge_density=0.05, max_upper=3, lq_fraction=0.5, seed=1
+    )
+    inst = generate_random_instance(params)
+    leveled, trace = solve(inst)
+    g = build_cloned_graph(inst, leveled)
+    report = verify_certificate(g, dual_assignment(g))
+    assert report.ok, report.failures
+    assert check_output_properties(inst, leveled) == []
+    s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
+    assert trace.proposal_count <= (s + t + 2) * len(inst.edges)

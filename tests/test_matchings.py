@@ -2,11 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -36,7 +32,7 @@ from popcrit import (
     vote,
 )
 
-from conftest import DATA, all_correspondences
+from conftest import DATA, all_correspondences, run_python
 
 
 def _load(inst, name):
@@ -261,13 +257,7 @@ def test_import_loads_neither_numpy_nor_scipy():
         "import sys, popcrit\n"
         "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
     )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
 
 
 # ---------------------------------------------------------------- properties

@@ -46,6 +46,20 @@ def test_pref_lq_keeps_only_lower_quota_vertices(short_supply):
     assert not short_supply.is_lq(VertexId(Side.B, 0))
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_cached_lower_sums_and_lists_match_a_recomputation(seed):
+    inst = generate_random_instance(
+        GenParams(n_a=5, n_b=4, max_upper=3, lq_fraction=0.5, seed=seed)
+    )
+    assert inst.sum_lower(Side.A) == sum(q.lower for q in inst.a_quotas)
+    assert inst.sum_lower(Side.B) == sum(q.lower for q in inst.b_quotas)
+    for v in inst.all_vertices():
+        want = tuple(u for u in inst.pref(v) if inst.quotas(u).lower > 0)
+        assert inst.pref_lq(v) == want
+        # a second call hands back the cached tuple, not a rebuilt one
+        assert inst.pref_lq(v) is inst.pref_lq(v)
+
+
 def test_rank_and_degree(short_supply):
     b2 = VertexId(Side.B, 1)
     assert short_supply.rank(b2, VertexId(Side.A, 2)) == 0

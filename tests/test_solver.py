@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from popcrit import (
     GenParams,
+    InvariantError,
     Side,
     VertexId,
     check_matching,
@@ -25,7 +26,7 @@ from popcrit import (
 )
 from popcrit.solver import SolverState, decide_acc_rej
 
-from conftest import DATA
+from conftest import DATA, run_python
 
 A = lambda i: VertexId(Side.A, i)
 B = lambda i: VertexId(Side.B, i)
@@ -141,6 +142,29 @@ def test_proposer_with_spare_capacity_requeues_itself(one_post):
     assert list(state.queue) == [(A(0), 0)]
 
 
+def test_repeat_proposal_at_the_same_level_breaks_an_invariant(one_post):
+    state = _bare_state(one_post)
+    state.add_edge(A(0), 2, B(0))
+    with pytest.raises(InvariantError, match="again at level 2"):
+        decide_acc_rej(state, A(0), 2, 1, B(0), 3)
+
+
+def test_invariants_survive_the_optimize_flag():
+    # Under -O plain asserts vanish; the solver's checks must not.
+    code = (
+        "from pathlib import Path\n"
+        "from popcrit import InvariantError, Side, VertexId, parse_instance\n"
+        "from popcrit.solver import SolverState\n"
+        f"inst = parse_instance(Path({str(DATA / 'short_supply.inst')!r}).read_text())\n"
+        "state = SolverState.initial(inst)\n"
+        "try:\n"
+        "    state.enqueue(VertexId(Side.A, 0), 0)\n"
+        "except InvariantError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    assert run_python(code, "-O") == "False a1 is already queued"
+
+
 # ------------------------------------------------------------------ full runs
 
 
@@ -198,6 +222,17 @@ def test_trace_round_trip(capacity_switch):
     assert read_trace_csv(text) == rows
     with pytest.raises(ValueError, match="header"):
         read_trace_csv("seq,a,b\n1,x,y\n")
+
+
+def test_matching_size_moves_by_one_edge_per_proposal():
+    # One proposal adds at most one edge: an accepted proposal may evict
+    # another, but a rejection or a lift leaves the size unchanged.
+    for seed in range(300):
+        inst = generate_random_instance(GenParams(n_a=6, n_b=6, seed=seed))
+        leveled, trace = solve(inst)
+        sizes = [0] + [ev.matching_size for ev in trace.events]
+        assert all(after - before in (0, 1) for before, after in zip(sizes, sizes[1:]))
+        assert sizes[-1] == leveled.matching.size
 
 
 def test_solve_is_deterministic(capacity_switch):
