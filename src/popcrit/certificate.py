@@ -33,7 +33,7 @@ from .matchings import (
     vote,
 )
 from .model import Instance, Side, VertexId
-from .solver import LeveledMatching
+from .solver import InvariantError, LeveledMatching
 
 Edge = tuple[VertexId, VertexId]
 
@@ -66,6 +66,10 @@ def _left_of_bipartition(u: CloneId) -> bool:
 CloneEdge = tuple[CloneId, CloneId]
 
 
+def _canonical(u: CloneId, w: CloneId) -> CloneEdge:
+    return (u, w) if _left_of_bipartition(u) else (w, u)
+
+
 @dataclass(frozen=True)
 class ClonedGraph:
     inst: Instance
@@ -76,10 +80,14 @@ class ClonedGraph:
     edges: frozenset[CloneEdge]
     mstar: Mapping[CloneId, CloneId]
     mstar_by_edge: Mapping[Edge, CloneEdge]
-    # (partition side, level); partition side equals bipartition side.
-    partition: Mapping[CloneId, tuple[Side, int]]
+    # A vertex's partition side is its side of the bipartition, so only
+    # the level is stored.
+    level: Mapping[CloneId, int]
     lr_adjacent: frozenset[CloneId]
     dummies: Mapping[Side, tuple[CloneId, ...]]
+    # Clones and last-resorts of each vertex, in ordinal order.
+    clones_of: Mapping[VertexId, tuple[CloneId, ...]]
+    resorts_of: Mapping[VertexId, tuple[CloneId, ...]]
 
     def clone_name(self, u: CloneId) -> str:
         if u.kind is CloneKind.CLONE:
@@ -91,7 +99,7 @@ class ClonedGraph:
         return f"dummy.{u.side.value}.{u.ordinal}"
 
     def canonical(self, u: CloneId, v: CloneId) -> CloneEdge:
-        return (u, v) if _left_of_bipartition(u) else (v, u)
+        return _canonical(u, v)
 
 
 def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
@@ -119,18 +127,20 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
     top = s + t + 1
 
-    clones_of: dict[VertexId, list[CloneId]] = {}
-    lr_of: dict[VertexId, list[CloneId]] = {}
-    for v in inst.all_vertices():
-        q = inst.quotas(v)
-        clones_of[v] = [
+    clones_of = {
+        v: tuple(
             CloneId(CloneKind.CLONE, v.side, v.index, k + 1)
-            for k in range(q.upper)
-        ]
-        lr_of[v] = [
+            for k in range(inst.upper(v))
+        )
+        for v in inst.all_vertices()
+    }
+    resorts_of = {
+        v: tuple(
             CloneId(CloneKind.LAST_RESORT, v.side, v.index, k + 1)
-            for k in range(q.upper - q.lower)
-        ]
+            for k in range(inst.upper(v) - inst.lower(v))
+        )
+        for v in inst.all_vertices()
+    }
 
     short = deficiency(inst, m)
     dummies = {
@@ -142,55 +152,39 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     }
 
     mstar: dict[CloneId, CloneId] = {}
-    partition: dict[CloneId, tuple[Side, int]] = {}
+    level: dict[CloneId, int] = {}
     mstar_by_edge: dict[Edge, CloneEdge] = {}
-    next_clone = {v: 0 for v in inst.all_vertices()}
+    free_clones = {v: iter(clones_of[v]) for v in inst.all_vertices()}
 
-    def take_clone(v: VertexId) -> CloneId:
-        i = next_clone[v]
-        next_clone[v] = i + 1
-        return clones_of[v][i]
+    def bond(u: CloneId, w: CloneId, x: int) -> None:
+        mstar[u] = w
+        mstar[w] = u
+        level[u] = level[w] = x
 
     for a, b in sorted(m.pairs):
-        ai, bj = take_clone(a), take_clone(b)
-        mstar[ai] = bj
-        mstar[bj] = ai
+        ai, bj = next(free_clones[a]), next(free_clones[b])
         mstar_by_edge[(a, b)] = (ai, bj)
-        level = leveled.levels[(a, b)]
-        partition[ai] = (Side.A, level)
-        partition[bj] = (Side.B, level)
+        bond(ai, bj, leveled.levels[(a, b)])
 
     for side, dummy_level in ((Side.A, top), (Side.B, 0)):
         pool = iter(dummies[side])
         for v in inst.vertices(side):
             for _ in range(short.per_vertex[v]):
-                clone = take_clone(v)
-                dummy = next(pool)
-                mstar[clone] = dummy
-                mstar[dummy] = clone
-                partition[clone] = (side, dummy_level)
-                partition[dummy] = (side.other(), dummy_level)
-        leftover = next(pool, None)
-        assert leftover is None, "every dummy must be consumed"
+                bond(next(free_clones[v]), next(pool), dummy_level)
+        if next(pool, None) is not None:
+            raise InvariantError("every dummy must be consumed")
 
+    # Spare clones never outnumber last-resorts: a vertex with matched
+    # count c keeps upper - max(c, lower) spare clones.
     lr_clone_level = {Side.A: t + 1, Side.B: t}
     for v in inst.all_vertices():
-        used = 0
-        while next_clone[v] < len(clones_of[v]):
-            clone = take_clone(v)
-            resort = lr_of[v][used]
-            used += 1
-            mstar[clone] = resort
-            mstar[resort] = clone
-            partition[clone] = (v.side, lr_clone_level[v.side])
-            partition[resort] = (v.side.other(), lr_clone_level[v.side])
-        for resort in lr_of[v][used:]:
-            partition[resort] = (v.side.other(), lr_clone_level[v.side])
+        x = lr_clone_level[v.side]
+        for resort in resorts_of[v]:
+            level[resort] = x
+        for clone, resort in zip(free_clones[v], resorts_of[v]):
+            bond(clone, resort, x)
 
-    edges: set[CloneEdge] = set()
-    for u, w in mstar.items():
-        if _left_of_bipartition(u):
-            edges.add((u, w))
+    edges = {_canonical(u, w) for u, w in mstar.items()}
     for a, b in sorted(inst.edges - m.pairs):
         for ai in clones_of[a]:
             for bj in clones_of[b]:
@@ -199,27 +193,26 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         for v in inst.vertices(side):
             for clone in clones_of[v]:
                 for dummy in dummies[side]:
-                    edges.add((clone, dummy) if side is Side.A else (dummy, clone))
+                    edges.add(_canonical(clone, dummy))
 
     lr_adjacent: set[CloneId] = set()
     for v in inst.all_vertices():
-        if not lr_of[v]:
+        if not resorts_of[v]:
             continue
         if len(m.partners(v)) > inst.lower(v):
             connected = clones_of[v]
         else:
-            connected = [c for c in clones_of[v] if mstar[c].kind is CloneKind.LAST_RESORT]
+            connected = tuple(
+                c for c in clones_of[v] if mstar[c].kind is CloneKind.LAST_RESORT
+            )
+        lr_adjacent.update(connected)
         for clone in connected:
-            lr_adjacent.add(clone)
-            for resort in lr_of[v]:
-                if v.side is Side.A:
-                    edges.add((clone, resort))
-                else:
-                    edges.add((resort, clone))
+            for resort in resorts_of[v]:
+                edges.add(_canonical(clone, resort))
 
     vertices = (
         [c for v in inst.all_vertices() for c in clones_of[v]]
-        + [r for v in inst.all_vertices() for r in lr_of[v]]
+        + [r for v in inst.all_vertices() for r in resorts_of[v]]
         + list(dummies[Side.A])
         + list(dummies[Side.B])
     )
@@ -232,9 +225,11 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         edges=frozenset(edges),
         mstar=mstar,
         mstar_by_edge=mstar_by_edge,
-        partition=partition,
+        level=level,
         lr_adjacent=frozenset(lr_adjacent),
         dummies=dummies,
+        clones_of=clones_of,
+        resorts_of=resorts_of,
     )
 
 
@@ -263,6 +258,11 @@ def edge_weight(g: ClonedGraph, inst: Instance, e: CloneEdge) -> int:
     u, w = g.canonical(*e)
     if (u, w) not in g.edges:
         raise ValueError("edge not present in the cloned graph")
+    return _weight(g, inst, u, w)
+
+
+def _weight(g: ClonedGraph, inst: Instance, u: CloneId, w: CloneId) -> int:
+    """edge_weight's rule for an edge (u, w) known to be in the graph."""
     if u.kind is CloneKind.CLONE and w.kind is CloneKind.CLONE:
         if g.mstar[u] == w:
             return 0
@@ -296,11 +296,11 @@ def dual_assignment(g: ClonedGraph) -> DualCertificate:
         ):
             alpha[u] = 0
             continue
-        side, level = g.partition[u]
+        level = g.level[u]
         if not 0 <= level <= g.s + g.t + 1:
             raise ValueError(f"{g.clone_name(u)} sits outside the level range")
         value = 2 * (g.t - level) + 1
-        alpha[u] = value if side is Side.A else -value
+        alpha[u] = value if _left_of_bipartition(u) else -value
     return DualCertificate(alpha)
 
 
@@ -345,23 +345,25 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
         results[check] = False
         failures.append(f"{check}: {message}")
 
+    def label(u: CloneId, w: CloneId) -> str:
+        return f"({g.clone_name(u)}, {g.clone_name(w)})"
+
     for u, w in sorted(g.edges):
-        wt = edge_weight(g, inst, (u, w))
-        label = f"({g.clone_name(u)}, {g.clone_name(w)})"
+        wt = _weight(g, inst, u, w)
         if alpha[u] + alpha[w] < wt:
             fail(
                 "edge_inequalities",
-                f"{label} has alpha sum {alpha[u] + alpha[w]} < weight {wt}",
+                f"{label(u, w)} has alpha sum {alpha[u] + alpha[w]} < weight {wt}",
             )
         if not -2 <= wt <= 2:
-            fail("weights_in_range", f"{label} weighs {wt}")
-        x, y = g.partition[u][1], g.partition[w][1]
+            fail("weights_in_range", f"{label(u, w)} weighs {wt}")
+        x, y = g.level[u], g.level[w]
         if x > y + 1:
-            fail("no_steep_downward", f"{label} drops from level {x} to {y}")
+            fail("no_steep_downward", f"{label(u, w)} drops from level {x} to {y}")
         if x == y + 1 and wt != -2:
             fail(
                 "level_weight_bounds",
-                f"one-level-down edge {label} weighs {wt}, expected -2",
+                f"one-level-down edge {label(u, w)} weighs {wt}, expected -2",
             )
         if (
             x == y
@@ -371,12 +373,12 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
         ):
             fail(
                 "level_weight_bounds",
-                f"same-level true edge {label} weighs {wt} > 0",
+                f"same-level true edge {label(u, w)} weighs {wt} > 0",
             )
         if g.mstar.get(u) == w and alpha[u] + alpha[w] != wt:
             fail(
                 "matched_edges_tight",
-                f"lifted edge {label} is not tight: "
+                f"lifted edge {label(u, w)} is not tight: "
                 f"{alpha[u] + alpha[w]} != {wt}",
             )
 
@@ -403,9 +405,9 @@ def render_certificate_report(
     dual value), then the value sum, then the verdict."""
     lines = []
     for u in sorted(g.vertices):
-        side, level = g.partition[u]
+        side = Side.A if _left_of_bipartition(u) else Side.B
         lines.append(
-            f"{g.clone_name(u)} {side.value} {level} {cert.alpha[u]}"
+            f"{g.clone_name(u)} {side.value} {g.level[u]} {cert.alpha[u]}"
         )
     lines.append(f"SUM {sum(cert.alpha.values())}")
     if report.ok:
@@ -443,47 +445,33 @@ def map_matching_to_clones(
             if x is not None:
                 corr_of[(v, x)] = y
 
-    # Clones and last-resorts of each owner, in ordinal order.
-    clones_of: dict[VertexId, list[CloneId]] = {}
-    resorts_of: dict[VertexId, list[CloneId]] = {}
-    for u in g.vertices:
-        if u.kind is not CloneKind.DUMMY:
-            kept = clones_of if u.kind is CloneKind.CLONE else resorts_of
-            kept.setdefault(_owner(u), []).append(u)
-
     nstar: dict[CloneId, CloneId] = {}
 
     def bond(u: CloneId, w: CloneId) -> None:
-        assert u not in nstar and w not in nstar
+        if u in nstar or w in nstar:
+            raise InvariantError("a clone is lifted twice")
         nstar[u] = w
         nstar[w] = u
 
-    def artificial_backed_clone(v: VertexId, kind: CloneKind) -> Optional[CloneId]:
-        for u in clones_of[v]:
-            if u not in nstar and g.mstar[u].kind is kind:
-                return u
-        return None
+    def rival_clone(v: VertexId, partner: VertexId) -> CloneId:
+        """v's clone for the rival edge to partner: the lifted clone of the
+        edge it corresponds to, else a free clone backed by a dummy, else
+        one backed by a last-resort."""
+        image = corr_of[(v, partner)]
+        if image is not None:
+            ai, bj = g.mstar_by_edge[(v, image) if v.side is Side.A else (image, v)]
+            return ai if v.side is Side.A else bj
+        for kind in (CloneKind.DUMMY, CloneKind.LAST_RESORT):
+            for u in g.clones_of[v]:
+                if u not in nstar and g.mstar[u].kind is kind:
+                    return u
+        raise InvariantError("ran out of clones")
 
     for a, b in sorted(n.pairs & m.pairs):
         bond(*g.mstar_by_edge[(a, b)])
 
     for a, b in sorted(n.pairs - m.pairs):
-        image = corr_of[(a, b)]
-        if image is not None:
-            ai = g.mstar_by_edge[(a, image)][0]
-        else:
-            ai = artificial_backed_clone(a, CloneKind.DUMMY)
-            if ai is None:
-                ai = artificial_backed_clone(a, CloneKind.LAST_RESORT)
-        image_b = corr_of[(b, a)]
-        if image_b is not None:
-            bj = g.mstar_by_edge[(image_b, b)][1]
-        else:
-            bj = artificial_backed_clone(b, CloneKind.DUMMY)
-            if bj is None:
-                bj = artificial_backed_clone(b, CloneKind.LAST_RESORT)
-        assert ai is not None and bj is not None, "ran out of clones"
-        bond(ai, bj)
+        bond(rival_clone(a, b), rival_clone(b, a))
 
     # Only the two loops below bond dummies, each to the first free one of
     # its side, so a cursor per side finds it.
@@ -492,15 +480,16 @@ def map_matching_to_clones(
     for v in inst.all_vertices():
         if not short.per_vertex[v]:
             continue
-        for u in clones_of[v]:
+        for u in g.clones_of[v]:
             if u in nstar or u in g.lr_adjacent:
                 continue
             dummy = next(free_dummies[v.side], None)
-            assert dummy is not None, "dummies exhausted for a deficient vertex"
+            if dummy is None:
+                raise InvariantError("dummies exhausted for a deficient vertex")
             bond(u, dummy)
 
     for v in inst.all_vertices():
-        for u in clones_of[v]:
+        for u in g.clones_of[v]:
             if u in nstar:
                 continue
             dummy = next(free_dummies[v.side], None)
@@ -510,21 +499,24 @@ def map_matching_to_clones(
             resort = next(
                 (
                     r
-                    for r in resorts_of.get(v, ())
-                    if r not in nstar and g.canonical(u, r) in g.edges
+                    for r in g.resorts_of[v]
+                    if r not in nstar and _canonical(u, r) in g.edges
                 ),
                 None,
             )
-            assert resort is not None, "no slot left for an unmatched clone"
+            if resort is None:
+                raise InvariantError("no slot left for an unmatched clone")
             bond(u, resort)
 
     for side in (Side.A, Side.B):
-        assert all(d in nstar for d in g.dummies[side]), "unmatched dummy"
+        if not all(d in nstar for d in g.dummies[side]):
+            raise InvariantError("unmatched dummy")
 
     out = set()
     for u, w in nstar.items():
-        e = g.canonical(u, w)
-        assert e in g.edges, "lifted matching uses a non-edge"
+        e = _canonical(u, w)
+        if e not in g.edges:
+            raise InvariantError("lifted matching uses a non-edge")
         out.add(e)
     return frozenset(out)
 

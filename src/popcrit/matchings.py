@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .model import Instance, Side, VertexId
 
@@ -39,10 +39,6 @@ class Matching:
     """An immutable set of (a, b) edges."""
 
     pairs: frozenset[Edge]
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[Edge]) -> "Matching":
-        return Matching(frozenset(pairs))
 
     @cached_property
     def _partners(self) -> dict[VertexId, frozenset[VertexId]]:

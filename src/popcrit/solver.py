@@ -37,8 +37,8 @@ Rejection = Optional[tuple[VertexId, int]]
 
 
 class InvariantError(RuntimeError):
-    """Raised when the solver breaks one of its own invariants; this is a
-    bug in the solver, never a property of the input."""
+    """Raised when the solver or the certificate breaks one of its own
+    invariants; this is a bug in popcrit, never a property of the input."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,6 @@ class LeveledMatching:
     matching: Matching
     levels: Mapping[Edge, int]
     max_level: Mapping[VertexId, int]
-
-    def level(self, a: VertexId, b: VertexId) -> int:
-        return self.levels[(a, b)]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from popcrit import (
     edge_weight,
     generate_random_instance,
     map_matching_to_clones,
+    max_delta,
     parse_matching,
     random_correspondence,
     render_certificate_report,
@@ -31,7 +32,7 @@ from popcrit import (
     vote,
 )
 
-from conftest import DATA, all_correspondences
+from conftest import DATA, all_correspondences, run_python
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,12 @@ def test_clone_counts(short_supply_graph):
     assert len(by_kind[(CloneKind.LAST_RESORT, Side.B)]) == 2
     assert short_supply_graph.dummies[Side.A] == (CloneId(CloneKind.DUMMY, Side.A, -1, 1),)
     assert short_supply_graph.dummies[Side.B] == ()
+    g = short_supply_graph
+    a1 = VertexId(Side.A, 0)
+    assert g.clones_of[a1] == (_clone(Side.A, 0, 1), _clone(Side.A, 0, 2))
+    assert g.resorts_of[a1] == (_resort(Side.A, 0, 1),)
+    owned = [u for v in g.inst.all_vertices() for u in g.clones_of[v] + g.resorts_of[v]]
+    assert sorted(owned) == sorted(u for u in g.vertices if u.kind is not CloneKind.DUMMY)
 
 
 def test_lift_is_a_perfect_pairing_of_clones_and_dummies(short_supply_graph):
@@ -86,17 +93,18 @@ def test_lift_is_a_perfect_pairing_of_clones_and_dummies(short_supply_graph):
 
 def test_partition_levels(short_supply_graph):
     g = short_supply_graph
-    levels = {g.clone_name(u): g.partition[u] for u in g.vertices}
+    levels = {g.clone_name(u): g.level[u] for u in g.vertices}
     # matched clones carry their edge's level, the deficiency dummy pair
     # sits at the top level s + t + 1 = 6, last-resort pairs at t + 1 or t
-    assert levels["a1.1"] == (Side.A, 6)
-    assert levels["b2.2"] == (Side.B, 5)
-    assert levels["a2.2"] == (Side.A, 6)
-    assert levels["dummy.A.1"] == (Side.B, 6)
-    assert levels["a1.2"] == (Side.A, 2)
-    assert levels["lr.a1.1"] == (Side.B, 2)
-    assert levels["lr.b1.1"] == (Side.A, 1)
-    assert levels["lr.b2.1"] == (Side.A, 1)
+    assert levels["a1.1"] == 6
+    assert levels["b2.2"] == 5
+    assert levels["a2.2"] == 6
+    assert levels["dummy.A.1"] == 6
+    assert levels["a1.2"] == 2
+    assert levels["lr.a1.1"] == 2
+    assert levels["lr.b1.1"] == 1
+    assert levels["lr.b2.1"] == 1
+    assert set(g.level) == set(g.vertices)
 
 
 def test_build_is_deterministic(short_supply):
@@ -105,7 +113,7 @@ def test_build_is_deterministic(short_supply):
     g2 = build_cloned_graph(short_supply, leveled)
     assert g1.edges == g2.edges
     assert g1.mstar == g2.mstar
-    assert g1.partition == g2.partition
+    assert g1.level == g2.level
 
 
 def test_build_requires_levels(short_supply):
@@ -229,6 +237,12 @@ def test_tampered_duals_are_caught(short_supply_graph):
     assert not report.ok
     assert "last_resorts_nonnegative" in report.failed_checks
     assert "edge_inequalities" in report.failed_checks
+    assert report.failures == (
+        "edge_inequalities: (a1.2, lr.a1.1) has alpha sum -1 < weight 0",
+        "matched_edges_tight: lifted edge (a1.2, lr.a1.1) is not tight: -1 != 0",
+        "last_resorts_nonnegative: lr.a1.1 carries -1",
+        "zero_sum: alpha values sum to -1",
+    )
     rendered = render_certificate_report(g, dataclasses.replace(cert, alpha=negative), report)
     assert rendered.rstrip().endswith(
         "VERDICT FAIL " + ",".join(report.failed_checks)
@@ -267,6 +281,26 @@ def test_lift_weight_equals_delta_for_every_critical_rival(short_supply_graph, s
             assert clone_matching_weight(g, short_supply, nstar) <= 0
             seen += 1
     assert seen >= 4
+
+
+def test_lift_invariants_survive_the_optimize_flag():
+    # Without last-resorts the identity lift has no slot for a1's spare
+    # clone; under -O a plain assert would let None through instead.
+    code = (
+        "import dataclasses\n"
+        "from pathlib import Path\n"
+        "from popcrit import (Correspondence, InvariantError, build_cloned_graph,\n"
+        "    map_matching_to_clones, parse_instance, solve)\n"
+        f"inst = parse_instance(Path({str(DATA / 'short_supply.inst')!r}).read_text())\n"
+        "leveled, _ = solve(inst)\n"
+        "g = build_cloned_graph(inst, leveled)\n"
+        "g = dataclasses.replace(g, resorts_of={v: () for v in g.resorts_of})\n"
+        "try:\n"
+        "    map_matching_to_clones(g, inst, leveled.matching, Correspondence({}))\n"
+        "except InvariantError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    assert run_python(code, "-O") == "False no slot left for an unmatched clone"
 
 
 def test_lift_rejects_non_critical_rivals(short_supply_graph, short_supply):
@@ -310,3 +344,32 @@ def test_random_rival_lifts_realize_their_delta(seed):
         value = delta(inst, n, m, corr)
         assert clone_matching_weight(g, inst, nstar) == value
         assert value <= 0
+
+
+def test_lift_realizes_delta_at_high_quotas():
+    # Shaped like the benchmark's wide instances: 30 + 30 vertices, dense,
+    # upper quotas up to 20, so each vertex owns many clones and
+    # last-resorts.  Rivals are the solver's matchings under reshuffled
+    # preference orders, which keep the edges and quotas and so stay
+    # critical.
+    inst = generate_random_instance(
+        GenParams(n_a=30, n_b=30, max_upper=20, lq_fraction=0.2, edge_density=0.9, seed=0)
+    )
+    leveled, _ = solve(inst)
+    g = build_cloned_graph(inst, leveled)
+    m = leveled.matching
+    rng = random.Random(0)
+
+    def shuffled(prefs):
+        return tuple(tuple(rng.sample(p, len(p))) for p in prefs)
+
+    for _ in range(3):
+        rival, _ = solve(
+            dataclasses.replace(inst, a_prefs=shuffled(inst.a_prefs), b_prefs=shuffled(inst.b_prefs))
+        )
+        n = rival.matching
+        assert n.pairs - m.pairs
+        assert max_delta(inst, m, n) <= 0
+        corr = random_correspondence(inst, n, m, rng)
+        nstar = map_matching_to_clones(g, inst, n, corr)
+        assert clone_matching_weight(g, inst, nstar) == delta(inst, n, m, corr)

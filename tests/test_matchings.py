@@ -84,6 +84,22 @@ def test_parse_matching_errors(short_supply, text, message):
         parse_matching(short_supply, text)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(),
+        st.lists(
+            st.sampled_from(["a1", "a2", "a3", "a4", "b1", "b2", "b3", "#", "\n"]), max_size=20
+        ).map(" ".join),
+    )
+)
+def test_parse_matching_fails_only_with_a_matching_error(short_supply, text):
+    try:
+        parse_matching(short_supply, text)
+    except MatchingError:
+        pass
+
+
 def test_matching_round_trip(short_supply):
     m = _load(short_supply, "short_supply_m2.match")
     assert parse_matching(short_supply, serialize_matching(short_supply, m)) == m

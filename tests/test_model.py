@@ -158,6 +158,26 @@ def test_round_trip_identity_on_random_instances(seed):
     assert parse_instance(serialize_instance(inst)) == inst
 
 
+# Words of the instance format, so that some generated text parses.
+_INSTANCE_SOUP = st.lists(
+    st.one_of(
+        st.sampled_from(["A", "B", "PREF", "a1", "a2", "b1", "b2", "#", "\n"]),
+        st.integers(min_value=-2, max_value=4).map(str),
+    ),
+    max_size=40,
+).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(st.text(), _INSTANCE_SOUP))
+def test_parse_instance_fails_only_with_a_format_error(text):
+    try:
+        inst = parse_instance(text)
+    except InstanceFormatError:
+        return
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
 def test_fixture_files_all_parse_and_validate():
     for path in sorted(DATA.glob("*.inst")):
         inst = parse_instance(path.read_text())
