@@ -112,18 +112,10 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     of a vertex matched at or below its lower quota are connected to its
     last-resorts only when they are themselves matched to one; vertices
     holding more than their lower quota connect every clone to every one
-    of their last-resorts.  Raises ValueError when a matched edge has no
-    recorded level or the matching breaks an upper quota or uses a
-    non-edge.
+    of their last-resorts.  Raises ValueError when the matching breaks an
+    upper quota or uses a non-edge.
     """
     m = leveled.matching
-    for pair in m.pairs:
-        if pair not in leveled.levels:
-            a, b = pair
-            raise ValueError(
-                f"no level recorded for matched edge "
-                f"({inst.name(a)}, {inst.name(b)})"
-            )
     s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
     top = s + t + 1
 
@@ -348,21 +340,30 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     def label(u: CloneId, w: CloneId) -> str:
         return f"({g.clone_name(u)}, {g.clone_name(w)})"
 
-    for u, w in sorted(g.edges):
+    # Failures on edges are reported in edge order.  Only they are sorted,
+    # and stably, so each edge keeps its checks in the order they ran.
+    edge_failures: list[tuple[CloneEdge, str, str]] = []
+
+    def fail_edge(u: CloneId, w: CloneId, check: str, message: str) -> None:
+        edge_failures.append(((u, w), check, message))
+
+    for u, w in g.edges:
         wt = _weight(g, inst, u, w)
         if alpha[u] + alpha[w] < wt:
-            fail(
-                "edge_inequalities",
+            fail_edge(
+                u, w, "edge_inequalities",
                 f"{label(u, w)} has alpha sum {alpha[u] + alpha[w]} < weight {wt}",
             )
         if not -2 <= wt <= 2:
-            fail("weights_in_range", f"{label(u, w)} weighs {wt}")
+            fail_edge(u, w, "weights_in_range", f"{label(u, w)} weighs {wt}")
         x, y = g.level[u], g.level[w]
         if x > y + 1:
-            fail("no_steep_downward", f"{label(u, w)} drops from level {x} to {y}")
+            fail_edge(
+                u, w, "no_steep_downward", f"{label(u, w)} drops from level {x} to {y}"
+            )
         if x == y + 1 and wt != -2:
-            fail(
-                "level_weight_bounds",
+            fail_edge(
+                u, w, "level_weight_bounds",
                 f"one-level-down edge {label(u, w)} weighs {wt}, expected -2",
             )
         if (
@@ -371,16 +372,19 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
             and w.kind is CloneKind.CLONE
             and wt > 0
         ):
-            fail(
-                "level_weight_bounds",
+            fail_edge(
+                u, w, "level_weight_bounds",
                 f"same-level true edge {label(u, w)} weighs {wt} > 0",
             )
         if g.mstar.get(u) == w and alpha[u] + alpha[w] != wt:
-            fail(
-                "matched_edges_tight",
+            fail_edge(
+                u, w, "matched_edges_tight",
                 f"lifted edge {label(u, w)} is not tight: "
                 f"{alpha[u] + alpha[w]} != {wt}",
             )
+    edge_failures.sort(key=lambda failure: failure[0])
+    for _, check, message in edge_failures:
+        fail(check, message)
 
     for u in g.vertices:
         if u.kind is CloneKind.LAST_RESORT and alpha[u] < 0:

@@ -300,10 +300,7 @@ def parse_matching(inst: Instance, text: str) -> Matching:
             raise MatchingError(f"line {lineno}: duplicate pair")
         pairs.add((a, b))
     m = Matching(frozenset(pairs))
-    try:
-        check_matching(inst, m)
-    except MatchingError as exc:
-        raise MatchingError(str(exc)) from None
+    check_matching(inst, m)
     return m
 
 

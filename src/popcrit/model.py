@@ -25,9 +25,6 @@ class Side(str, Enum):
     A = "A"
     B = "B"
 
-    def other(self) -> "Side":
-        return Side.B if self is Side.A else Side.A
-
 
 class VertexId(NamedTuple):
     side: Side

@@ -76,16 +76,11 @@ def critical_set(
     inst: Instance, max_edges: int = DEFAULT_EDGE_BUDGET
 ) -> tuple[int, list[Matching]]:
     """The minimum total deficiency and every matching attaining it."""
-    best = None
-    out: list[Matching] = []
-    for m, (da, db) in _with_deficiencies(inst, max_edges):
-        d = da + db
-        if best is None or d < best:
-            best, out = d, [m]
-        elif d == best:
-            out.append(m)
-    assert best is not None
-    return best, out
+    # The enumeration yields the empty matching first, so scored is never
+    # empty.
+    scored = [(da + db, m) for m, (da, db) in _with_deficiencies(inst, max_edges)]
+    best = min(d for d, _ in scored)
+    return best, [m for d, m in scored if d == best]
 
 
 def is_popular_among(

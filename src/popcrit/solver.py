@@ -24,7 +24,8 @@ import csv
 import io
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from functools import cached_property
+from typing import Mapping, NamedTuple, Optional
 
 from .matchings import Matching
 from .model import Instance, Side, VertexId
@@ -43,17 +44,19 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class LeveledMatching:
-    """A matching plus the level at which each edge was formed and the
-    highest level each A-vertex reached during the run."""
+    """The level at which each matched edge was formed and the highest
+    level each A-vertex reached during the run; the matching is the set of
+    leveled edges."""
 
-    matching: Matching
     levels: Mapping[Edge, int]
     max_level: Mapping[VertexId, int]
 
+    @cached_property
+    def matching(self) -> Matching:
+        return Matching(frozenset(self.levels))
 
-@dataclass(frozen=True)
-class ProposalEvent:
-    seq: int
+
+class ProposalEvent(NamedTuple):
     proposer: VertexId
     level: int
     proposer_capacity: int
@@ -84,23 +87,22 @@ class SolverState:
     queue: deque[tuple[VertexId, int]] = field(default_factory=deque)
     queued: set[VertexId] = field(default_factory=set)
     cursors: dict[tuple[VertexId, int], int] = field(default_factory=dict)
-    # (a, b) -> level; the per-vertex views are kept in sync with it.
-    edge_levels: dict[Edge, int] = field(default_factory=dict)
-    a_partners: dict[VertexId, set[VertexId]] = field(default_factory=dict)
-    b_partners: dict[VertexId, dict[VertexId, int]] = field(default_factory=dict)
+    # Each matched edge's level, under both of its endpoints.
+    partners: dict[VertexId, dict[VertexId, int]] = field(default_factory=dict)
+    size: int = 0
     max_level: dict[VertexId, int] = field(default_factory=dict)
     proposal_count: int = 0
 
     @staticmethod
     def initial(inst: Instance) -> "SolverState":
         state = SolverState(
-            inst=inst, s=inst.sum_lower(Side.A), t=inst.sum_lower(Side.B)
+            inst=inst,
+            s=inst.sum_lower(Side.A),
+            t=inst.sum_lower(Side.B),
+            partners={v: {} for v in inst.all_vertices()},
         )
         for a in inst.vertices(Side.A):
-            state.a_partners[a] = set()
             state.enqueue(a, 0)
-        for b in inst.vertices(Side.B):
-            state.b_partners[b] = {}
         return state
 
     def enqueue(self, a: VertexId, level: int) -> None:
@@ -111,15 +113,17 @@ class SolverState:
         if level > self.max_level.get(a, -1):
             self.max_level[a] = level
 
-    def add_edge(self, a: VertexId, level: int, b: VertexId) -> None:
-        self.edge_levels[(a, b)] = level
-        self.a_partners[a].add(b)
-        self.b_partners[b][a] = level
+    def set_edge(self, a: VertexId, level: int, b: VertexId) -> None:
+        """Match a and b at the given level, or move their edge to it."""
+        if b not in self.partners[a]:
+            self.size += 1
+        self.partners[a][b] = level
+        self.partners[b][a] = level
 
     def remove_edge(self, a: VertexId, b: VertexId) -> None:
-        del self.edge_levels[(a, b)]
-        self.a_partners[a].discard(b)
-        del self.b_partners[b][a]
+        del self.partners[a][b]
+        del self.partners[b][a]
+        self.size -= 1
 
 
 def proposer_capacity(inst: Instance, a: VertexId, level: int) -> int:
@@ -154,7 +158,7 @@ def receiver_capacity(
     """
     if proposer_level < state.t:
         return inst.lower(b)
-    if any(x < state.t for x in state.b_partners[b].values()):
+    if any(x < state.t for x in state.partners[b].values()):
         return inst.lower(b)
     return inst.upper(b)
 
@@ -165,7 +169,7 @@ def _worst_partner(
     """b's least preferred matched copy: lowest level first, then worst
     position in b's own order."""
     return min(
-        state.b_partners[b].items(),
+        state.partners[b].items(),
         key=lambda item: (item[1], -inst.rank(b, item[0])),
     )
 
@@ -189,26 +193,24 @@ def decide_acc_rej(
     """
     inst = state.inst
     rejected: Rejection = None
-    existing = state.b_partners[b].get(a)
-    if existing is not None:
+    held = state.partners[b]
+    existing = held.get(a)
+    if existing is not None and existing >= level:
         # The cursor discipline makes a repeat proposal to a partner at the
         # same or higher level impossible.
-        if existing >= level:
-            raise InvariantError(
-                f"{inst.name(a)} proposed to {inst.name(b)} again at level "
-                f"{level}, already matched at level {existing}"
-            )
-        state.b_partners[b][a] = level
-        state.edge_levels[(a, b)] = level
-    elif len(state.b_partners[b]) < q_b:
-        state.add_edge(a, level, b)
-    elif len(state.b_partners[b]) == q_b:
+        raise InvariantError(
+            f"{inst.name(a)} proposed to {inst.name(b)} again at level "
+            f"{level}, already matched at level {existing}"
+        )
+    if existing is not None or len(held) < q_b:
+        state.set_edge(a, level, b)
+    elif len(held) == q_b:
         worst_a, worst_level = _worst_partner(inst, state, b)
         if level > worst_level or (
             level == worst_level and inst.rank(b, a) < inst.rank(b, worst_a)
         ):
             state.remove_edge(worst_a, b)
-            state.add_edge(a, level, b)
+            state.set_edge(a, level, b)
             rejected = (worst_a, worst_level)
             if worst_a not in state.queued:
                 state.enqueue(worst_a, worst_level)
@@ -218,7 +220,7 @@ def decide_acc_rej(
         # b is already above this proposal's capacity (its capacity shrank
         # since those partners were accepted): plain rejection.
         rejected = (a, level)
-    if len(state.a_partners[a]) < q_a and a not in state.queued:
+    if len(state.partners[a]) < q_a and a not in state.queued:
         state.enqueue(a, level)
     return rejected
 
@@ -249,37 +251,26 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
             if state.proposal_count > budget:
                 raise InvariantError(f"proposal budget {budget} exceeded")
             if (
-                len(state.a_partners[a]) > inst.upper(a)
-                or len(state.b_partners[b]) > inst.upper(b)
+                len(state.partners[a]) > inst.upper(a)
+                or len(state.partners[b]) > inst.upper(b)
             ):
                 raise InvariantError(
                     f"{inst.name(a)} or {inst.name(b)} is over its upper quota"
                 )
-            events.append(
-                ProposalEvent(
-                    seq=state.proposal_count,
-                    proposer=a,
-                    level=level,
-                    proposer_capacity=q_a,
-                    receiver=b,
-                    receiver_capacity=q_b,
-                    rejected=rejected,
-                    matching_size=len(state.edge_levels),
-                )
-            )
+            events.append(ProposalEvent(a, level, q_a, b, q_b, rejected, state.size))
         elif level < state.t:
             state.enqueue(a, level + 1)
         elif level == state.t or (
             level < state.s + state.t + 1
-            and len(state.a_partners[a]) < inst.lower(a)
+            and len(state.partners[a]) < inst.lower(a)
         ):
             state.enqueue(a, level + 1)
-    matching = Matching(frozenset(state.edge_levels))
-    leveled = LeveledMatching(
-        matching=matching,
-        levels=dict(state.edge_levels),
-        max_level=dict(state.max_level),
-    )
+    levels = {
+        (a, b): level
+        for a in inst.vertices(Side.A)
+        for b, level in state.partners[a].items()
+    }
+    leveled = LeveledMatching(levels=levels, max_level=dict(state.max_level))
     return leveled, Trace(tuple(events))
 
 
@@ -355,14 +346,14 @@ def trace_to_csv(inst: Instance, trace: Trace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for ev in trace.events:
+    for seq, ev in enumerate(trace.events, start=1):
         if ev.rejected is None:
             rejected = "-"
         else:
             rejected = f"{inst.name(ev.rejected[0])}^{ev.rejected[1]}"
         writer.writerow(
             [
-                ev.seq,
+                seq,
                 inst.name(ev.proposer),
                 ev.level,
                 ev.proposer_capacity,
@@ -377,7 +368,10 @@ def trace_to_csv(inst: Instance, trace: Trace) -> str:
 
 def read_trace_csv(text: str) -> list[list[str]]:
     """Parse a trace CSV into rows of strings, validating the header."""
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"trace is not valid CSV: {exc}") from exc
     if not rows or rows[0] != _CSV_COLUMNS:
         raise ValueError(f"trace header must be {','.join(_CSV_COLUMNS)}")
     return rows[1:]

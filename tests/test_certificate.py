@@ -116,13 +116,6 @@ def test_build_is_deterministic(short_supply):
     assert g1.level == g2.level
 
 
-def test_build_requires_levels(short_supply):
-    leveled, _ = solve(short_supply)
-    stripped = dataclasses.replace(leveled, levels={})
-    with pytest.raises(ValueError, match="no level recorded"):
-        build_cloned_graph(short_supply, stripped)
-
-
 # ------------------------------------------------------------------ weights
 
 
@@ -220,7 +213,7 @@ def test_rendered_report_matches_golden_file(short_supply_graph):
     assert text == (DATA / "short_supply_cert.txt").read_text()
 
 
-def test_tampered_duals_are_caught(short_supply_graph):
+def test_tampered_duals_are_caught(short_supply_graph, capacity_switch_graph):
     g = short_supply_graph
     cert = dual_assignment(g)
 
@@ -246,6 +239,21 @@ def test_tampered_duals_are_caught(short_supply_graph):
     rendered = render_certificate_report(g, dataclasses.replace(cert, alpha=negative), report)
     assert rendered.rstrip().endswith(
         "VERDICT FAIL " + ",".join(report.failed_checks)
+    )
+
+    # Failures on several edges come out in edge order, each edge's checks
+    # in the order the verifier runs them, then the per-vertex and sum checks.
+    g = capacity_switch_graph
+    cert = dual_assignment(g)
+    lowered = dict(cert.alpha)
+    lowered[_clone(Side.A, 2, 1)] -= 3
+    report = verify_certificate(g, dataclasses.replace(cert, alpha=lowered))
+    assert report.failures == (
+        "edge_inequalities: (a3.1, b2.1) has alpha sum 0 < weight 2",
+        "edge_inequalities: (a3.1, b2.2) has alpha sum 0 < weight 2",
+        "edge_inequalities: (a3.1, lr.a3.1) has alpha sum -3 < weight 0",
+        "matched_edges_tight: lifted edge (a3.1, lr.a3.1) is not tight: -3 != 0",
+        "zero_sum: alpha values sum to -3",
     )
 
 

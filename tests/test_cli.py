@@ -122,6 +122,14 @@ def test_trace_replay_detects_divergence(tmp_path, capsys):
     assert out[2].startswith("actual   ")
 
 
+def test_trace_with_an_oversized_field_exits_one(tmp_path, capsys):
+    # csv.reader refuses fields above its 131,072-character limit.
+    huge = tmp_path / "huge.csv"
+    huge.write_text("seq,a,level,c_a,b,c_b,rejected,matching_size\n1," + "x" * 200_000 + "\n")
+    assert main(["trace", SHORT_SUPPLY, str(huge)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_file_exits_one(capsys):
     assert main(["solve", "no_such_file.inst"]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -62,10 +62,10 @@ def test_receiver_capacity_depends_on_level_and_partners(short_supply):
     assert receiver_capacity(short_supply, state, b1, 0) == 0
     # no matched copy below t, so the upper quota applies from level t on
     assert receiver_capacity(short_supply, state, b2, 1) == 2
-    state.add_edge(A(2), 0, b2)
+    state.set_edge(A(2), 0, b2)
     assert receiver_capacity(short_supply, state, b2, 1) == 1
     state.remove_edge(A(2), b2)
-    state.add_edge(A(2), 1, b2)
+    state.set_edge(A(2), 1, b2)
     assert receiver_capacity(short_supply, state, b2, 1) == 2
 
 
@@ -83,7 +83,9 @@ def test_accept_into_free_capacity(one_post):
     state = _bare_state(one_post)
     b = B(0)
     assert decide_acc_rej(state, A(4), 0, 1, b, 3) is None
-    assert state.edge_levels == {(A(4), b): 0}
+    assert state.partners[b] == {A(4): 0}
+    assert state.partners[A(4)] == {b: 0}
+    assert state.size == 1
     assert not state.queue
 
 
@@ -91,9 +93,11 @@ def test_full_receiver_evicts_its_worst_partner(one_post):
     state = _bare_state(one_post)
     b = B(0)
     for i in (3, 4, 5):
-        state.add_edge(A(i), 0, b)
+        state.set_edge(A(i), 0, b)
     assert decide_acc_rej(state, A(0), 0, 1, b, 3) == (A(5), 0)
-    assert state.b_partners[b].keys() == {A(0), A(3), A(4)}
+    assert state.partners[b].keys() == {A(0), A(3), A(4)}
+    assert state.partners[A(5)] == {}
+    assert state.size == 3
     # the evicted copy re-enters the queue at the level it held
     assert list(state.queue) == [(A(5), 0)]
 
@@ -102,9 +106,9 @@ def test_full_receiver_rejects_a_worse_proposer(one_post):
     state = _bare_state(one_post)
     b = B(0)
     for i in (0, 1, 2):
-        state.add_edge(A(i), 0, b)
+        state.set_edge(A(i), 0, b)
     assert decide_acc_rej(state, A(5), 0, 1, b, 3) == (A(5), 0)
-    assert state.b_partners[b].keys() == {A(0), A(1), A(2)}
+    assert state.partners[b].keys() == {A(0), A(1), A(2)}
     # the rejected proposer still has spare capacity, so it requeues to
     # continue down its list
     assert list(state.queue) == [(A(5), 0)]
@@ -114,26 +118,28 @@ def test_higher_level_beats_better_rank(one_post):
     state = _bare_state(one_post)
     b = B(0)
     for i in (0, 1, 2):
-        state.add_edge(A(i), 0, b)
+        state.set_edge(A(i), 0, b)
     assert decide_acc_rej(state, A(5), 1, 1, b, 3) == (A(2), 0)
-    assert A(5) in state.b_partners[b]
+    assert A(5) in state.partners[b]
 
 
 def test_repeat_proposal_lifts_the_existing_edge(one_post):
     state = _bare_state(one_post)
     b = B(0)
-    state.add_edge(A(0), 0, b)
+    state.set_edge(A(0), 0, b)
     assert decide_acc_rej(state, A(0), 2, 1, b, 3) is None
-    assert state.edge_levels == {(A(0), b): 2}
+    assert state.partners[b] == {A(0): 2}
+    assert state.partners[A(0)] == {b: 2}
+    assert state.size == 1
 
 
 def test_shrunk_receiver_capacity_gives_plain_rejection(one_post):
     state = _bare_state(one_post)
     b = B(0)
-    state.add_edge(A(0), 0, b)
-    state.add_edge(A(1), 0, b)
+    state.set_edge(A(0), 0, b)
+    state.set_edge(A(1), 0, b)
     assert decide_acc_rej(state, A(5), 0, 1, b, 1) == (A(5), 0)
-    assert state.b_partners[b].keys() == {A(0), A(1)}
+    assert state.partners[b].keys() == {A(0), A(1)}
 
 
 def test_proposer_with_spare_capacity_requeues_itself(one_post):
@@ -144,7 +150,7 @@ def test_proposer_with_spare_capacity_requeues_itself(one_post):
 
 def test_repeat_proposal_at_the_same_level_breaks_an_invariant(one_post):
     state = _bare_state(one_post)
-    state.add_edge(A(0), 2, B(0))
+    state.set_edge(A(0), 2, B(0))
     with pytest.raises(InvariantError, match="again at level 2"):
         decide_acc_rej(state, A(0), 2, 1, B(0), 3)
 
