@@ -13,19 +13,27 @@ after exhausting its list keeps climbing with its capacity clamped to that
 lower quota.
 
 ``solve`` runs the algorithm with a FIFO queue seeded in A-declaration
-order and returns the leveled matching together with a trace of every
-proposal.  The trace is deterministic: equal instances give byte-identical
-trace CSVs.
+order.  It works on plain int vertex indices: it builds per-side quota,
+preference and rank tables once per call and keeps a per-receiver count of
+partners below level t, so each proposal costs O(1) apart from choosing
+the receiver's worst partner when it is full.  Each proposal is appended
+to one flat ``array`` of ints, ``_WIDTH`` per row; the row stores no quota,
+only what the quotas are read from (the level, and whether the receiver
+offered its lower or its upper quota).  ``Trace.events`` decodes that
+record into ``ProposalEvent``s on first access, and ``trace_to_csv``
+renders it directly.  The trace is deterministic: equal instances give
+byte-identical trace CSVs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .matchings import Matching
 from .model import Instance, Side, VertexId
@@ -35,6 +43,12 @@ Edge = tuple[VertexId, VertexId]
 # A rejected copy is a (vertex, level) pair; None means nothing was
 # rejected by the proposal.
 Rejection = Optional[tuple[VertexId, int]]
+
+# One proposal is a row of the trace record: proposer index, level,
+# receiver index, 1 if the receiver offered its upper quota (0 for its
+# lower quota), rejected A index (-1 for none), the rejected copy's level
+# and the matching size just after the proposal.
+_WIDTH = 7
 
 
 class InvariantError(RuntimeError):
@@ -69,160 +83,42 @@ class ProposalEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class Trace:
-    events: tuple[ProposalEvent, ...]
+    """Every proposal of one run, as ``_WIDTH`` ints per row of
+    ``record``, in the order they were made."""
+
+    inst: Instance
+    record: array
 
     @property
     def proposal_count(self) -> int:
-        return len(self.events)
+        return len(self.record) // _WIDTH
 
-
-@dataclass
-class SolverState:
-    """Mutable run state: the queue, per-level proposal cursors and the
-    current leveled matching."""
-
-    inst: Instance
-    s: int
-    t: int
-    queue: deque[tuple[VertexId, int]] = field(default_factory=deque)
-    queued: set[VertexId] = field(default_factory=set)
-    cursors: dict[tuple[VertexId, int], int] = field(default_factory=dict)
-    # Each matched edge's level, under both of its endpoints.
-    partners: dict[VertexId, dict[VertexId, int]] = field(default_factory=dict)
-    size: int = 0
-    max_level: dict[VertexId, int] = field(default_factory=dict)
-    proposal_count: int = 0
-
-    @staticmethod
-    def initial(inst: Instance) -> "SolverState":
-        state = SolverState(
-            inst=inst,
-            s=inst.sum_lower(Side.A),
-            t=inst.sum_lower(Side.B),
-            partners={v: {} for v in inst.all_vertices()},
+    @cached_property
+    def events(self) -> tuple[ProposalEvent, ...]:
+        """The record as ProposalEvents, decoded on first access."""
+        a_ids = list(self.inst.vertices(Side.A))
+        b_ids = list(self.inst.vertices(Side.B))
+        return tuple(
+            ProposalEvent(
+                a_ids[a], level, c_a, b_ids[b], c_b,
+                None if rej < 0 else (a_ids[rej], rej_level), size,
+            )
+            for a, level, c_a, b, c_b, rej, rej_level, size in _rows(self)
         )
-        for a in inst.vertices(Side.A):
-            state.enqueue(a, 0)
-        return state
-
-    def enqueue(self, a: VertexId, level: int) -> None:
-        if a in self.queued:
-            raise InvariantError(f"{self.inst.name(a)} is already queued")
-        self.queue.append((a, level))
-        self.queued.add(a)
-        if level > self.max_level.get(a, -1):
-            self.max_level[a] = level
-
-    def set_edge(self, a: VertexId, level: int, b: VertexId) -> None:
-        """Match a and b at the given level, or move their edge to it."""
-        if b not in self.partners[a]:
-            self.size += 1
-        self.partners[a][b] = level
-        self.partners[b][a] = level
-
-    def remove_edge(self, a: VertexId, b: VertexId) -> None:
-        del self.partners[a][b]
-        del self.partners[b][a]
-        self.size -= 1
 
 
-def proposer_capacity(inst: Instance, a: VertexId, level: int) -> int:
-    """Capacity of a proposing vertex at the given level.
-
-    The upper quota applies through level t + 1; above that only vertices
-    still short of their lower quota keep proposing, capped at it.
-    """
-    s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
-    if not 0 <= level <= s + t + 1:
-        raise ValueError(f"level {level} outside 0..{s + t + 1}")
-    return inst.upper(a) if level <= t + 1 else inst.lower(a)
-
-
-def proposal_list(inst: Instance, a: VertexId, level: int) -> tuple[VertexId, ...]:
-    """The list a proposes along at the given level: only lower-quota
-    neighbors below level t, the full list from t on."""
-    s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
-    if not 0 <= level <= s + t + 1:
-        raise ValueError(f"level {level} outside 0..{s + t + 1}")
-    return inst.pref_lq(a) if level < t else inst.pref(a)
-
-
-def receiver_capacity(
-    inst: Instance, state: SolverState, b: VertexId, proposer_level: int
-) -> int:
-    """Capacity b offers against a proposal from the given level.
-
-    Below level t the lower quota applies.  From level t on, b stays at its
-    lower quota while any matched partner sits below level t and opens up
-    to its upper quota otherwise.
-    """
-    if proposer_level < state.t:
-        return inst.lower(b)
-    if any(x < state.t for x in state.partners[b].values()):
-        return inst.lower(b)
-    return inst.upper(b)
-
-
-def _worst_partner(
-    inst: Instance, state: SolverState, b: VertexId
-) -> tuple[VertexId, int]:
-    """b's least preferred matched copy: lowest level first, then worst
-    position in b's own order."""
-    return min(
-        state.partners[b].items(),
-        key=lambda item: (item[1], -inst.rank(b, item[0])),
-    )
-
-
-def decide_acc_rej(
-    state: SolverState,
-    a: VertexId,
-    level: int,
-    q_a: int,
-    b: VertexId,
-    q_b: int,
-) -> Rejection:
-    """One proposal of a at the given level to b under capacities q_a, q_b.
-
-    Mutates the state: the matching is updated, an evicted copy re-enters
-    the queue at the level of its removed edge, and the proposer re-enters
-    at its current level while it has spare capacity.  Returns the rejected
-    copy, which may be the proposer itself, or None.  A receiver already
-    matched to the proposer at a lower level simply lifts that edge to the
-    proposer's current level.
-    """
-    inst = state.inst
-    rejected: Rejection = None
-    held = state.partners[b]
-    existing = held.get(a)
-    if existing is not None and existing >= level:
-        # The cursor discipline makes a repeat proposal to a partner at the
-        # same or higher level impossible.
-        raise InvariantError(
-            f"{inst.name(a)} proposed to {inst.name(b)} again at level "
-            f"{level}, already matched at level {existing}"
-        )
-    if existing is not None or len(held) < q_b:
-        state.set_edge(a, level, b)
-    elif len(held) == q_b:
-        worst_a, worst_level = _worst_partner(inst, state, b)
-        if level > worst_level or (
-            level == worst_level and inst.rank(b, a) < inst.rank(b, worst_a)
-        ):
-            state.remove_edge(worst_a, b)
-            state.set_edge(a, level, b)
-            rejected = (worst_a, worst_level)
-            if worst_a not in state.queued:
-                state.enqueue(worst_a, worst_level)
-        else:
-            rejected = (a, level)
-    else:
-        # b is already above this proposal's capacity (its capacity shrank
-        # since those partners were accepted): plain rejection.
-        rejected = (a, level)
-    if len(state.partners[a]) < q_a and a not in state.queued:
-        state.enqueue(a, level)
-    return rejected
+def _rows(trace: Trace) -> Iterator[tuple[int, ...]]:
+    """The record's rows with both capacities filled in: the proposer
+    offers its upper quota through level t + 1 and its lower quota above,
+    the receiver whichever quota its flag indexes in its (lower, upper)
+    ``Quotas`` pair."""
+    inst = trace.inst
+    t = inst.sum_lower(Side.B)
+    a_quotas, b_quotas = inst.a_quotas, inst.b_quotas
+    it = iter(trace.record)
+    for a, level, b, b_upper, rej, rej_level, size in zip(*[it] * _WIDTH):
+        c_a = a_quotas[a].upper if level <= t + 1 else a_quotas[a].lower
+        yield a, level, c_a, b, b_quotas[b][b_upper], rej, rej_level, size
 
 
 def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
@@ -233,45 +129,123 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
     deficiency matchings.  The number of proposals is bounded by
     (s + t + 2) * |E|.
     """
-    state = SolverState.initial(inst)
-    budget = (state.s + state.t + 2) * len(inst.edges)
-    events: list[ProposalEvent] = []
-    while state.queue:
-        a, level = state.queue.popleft()
-        state.queued.discard(a)
-        options = proposal_list(inst, a, level)
-        cursor = state.cursors.get((a, level), 0)
+    a_names, b_names = inst.a_names, inst.b_names
+    n_a, n_b = len(a_names), len(b_names)
+    a_lower = [q.lower for q in inst.a_quotas]
+    a_upper = [q.upper for q in inst.a_quotas]
+    b_lower = [q.lower for q in inst.b_quotas]
+    b_upper = [q.upper for q in inst.b_quotas]
+    a_pref = [tuple(b.index for b in p) for p in inst.a_prefs]
+    a_pref_lq = [tuple(b for b in p if b_lower[b] > 0) for p in a_pref]
+    b_rank = [{a.index: r for r, a in enumerate(p)} for p in inst.b_prefs]
+    s, t = sum(a_lower), sum(b_lower)
+    top = s + t + 1
+    budget = (s + t + 2) * len(inst.edges)
+
+    # Each matched edge's level, under both of its endpoints, and the
+    # number of each receiver's partners held below level t.
+    a_held: list[dict[int, int]] = [{} for _ in range(n_a)]
+    b_held: list[dict[int, int]] = [{} for _ in range(n_b)]
+    b_low = [0] * n_b
+    size = 0
+    max_level = [0] * n_a
+    # A queued copy (a, level) is the int level * n_a + a, which also keys
+    # the cursor into a's list at that level.
+    queue = deque(range(n_a))
+    queued = bytearray(b"\x01" * n_a)
+    cursors: dict[int, int] = {}
+    record = array("q")
+    count = 0
+
+    while queue:
+        key = queue.popleft()
+        level, a = divmod(key, n_a)
+        queued[a] = 0
+        options = a_pref_lq[a] if level < t else a_pref[a]
+        cursor = cursors.get(key, 0)
         if cursor < len(options):
-            state.cursors[(a, level)] = cursor + 1
+            cursors[key] = cursor + 1
             b = options[cursor]
-            q_a = proposer_capacity(inst, a, level)
-            q_b = receiver_capacity(inst, state, b, level)
-            rejected = decide_acc_rej(state, a, level, q_a, b, q_b)
-            state.proposal_count += 1
-            if state.proposal_count > budget:
+            mine, held = a_held[a], b_held[b]
+            if level < t or b_low[b]:
+                upper_b, q_b = 0, b_lower[b]
+            else:
+                upper_b, q_b = 1, b_upper[b]
+            rej, rej_level = -1, 0
+            existing = held.get(a)
+            if existing is not None:
+                # The cursor discipline makes a repeat proposal to a
+                # partner at the same or higher level impossible.
+                if existing >= level:
+                    raise InvariantError(
+                        f"{a_names[a]} proposed to {b_names[b]} again at level "
+                        f"{level}, already matched at level {existing}"
+                    )
+                # A repeat proposal from a higher level lifts the edge.
+                held[a] = mine[b] = level
+                if existing < t <= level:
+                    b_low[b] -= 1
+            elif len(held) < q_b:
+                held[a] = mine[b] = level
+                size += 1
+                if level < t:
+                    b_low[b] += 1
+            elif len(held) == q_b:
+                # b's least preferred copy: lowest level first, then worst
+                # position in b's own order.
+                rank = b_rank[b]
+                worst, worst_level, worst_rank = -1, 0, 0
+                for x, x_level in held.items():
+                    if worst < 0 or x_level < worst_level or (
+                        x_level == worst_level and rank[x] > worst_rank
+                    ):
+                        worst, worst_level, worst_rank = x, x_level, rank[x]
+                if level > worst_level or (
+                    level == worst_level and rank[a] < worst_rank
+                ):
+                    del held[worst]
+                    del a_held[worst][b]
+                    held[a] = mine[b] = level
+                    b_low[b] += (level < t) - (worst_level < t)
+                    rej, rej_level = worst, worst_level
+                    # The evicted copy re-enters at the level it held.
+                    if not queued[worst]:
+                        queue.append(worst_level * n_a + worst)
+                        queued[worst] = 1
+                else:
+                    rej, rej_level = a, level
+            else:
+                # b is already above this proposal's capacity (its capacity
+                # shrank since those partners were accepted).
+                rej, rej_level = a, level
+            q_a = a_upper[a] if level <= t + 1 else a_lower[a]
+            if len(mine) < q_a and not queued[a]:
+                queue.append(key)
+                queued[a] = 1
+            count += 1
+            if count > budget:
                 raise InvariantError(f"proposal budget {budget} exceeded")
-            if (
-                len(state.partners[a]) > inst.upper(a)
-                or len(state.partners[b]) > inst.upper(b)
-            ):
+            if len(mine) > a_upper[a] or len(held) > b_upper[b]:
                 raise InvariantError(
-                    f"{inst.name(a)} or {inst.name(b)} is over its upper quota"
+                    f"{a_names[a]} or {b_names[b]} is over its upper quota"
                 )
-            events.append(ProposalEvent(a, level, q_a, b, q_b, rejected, state.size))
-        elif level < state.t:
-            state.enqueue(a, level + 1)
-        elif level == state.t or (
-            level < state.s + state.t + 1
-            and len(state.partners[a]) < inst.lower(a)
-        ):
-            state.enqueue(a, level + 1)
+            record.extend((a, level, b, upper_b, rej, rej_level, size))
+        elif level <= t or (level < top and len(a_held[a]) < a_lower[a]):
+            queue.append(key + n_a)
+            queued[a] = 1
+            if level + 1 > max_level[a]:
+                max_level[a] = level + 1
+
+    a_ids = list(inst.vertices(Side.A))
+    b_ids = list(inst.vertices(Side.B))
     levels = {
-        (a, b): level
-        for a in inst.vertices(Side.A)
-        for b, level in state.partners[a].items()
+        (a_ids[a], b_ids[b]): level
+        for a in range(n_a)
+        for b, level in a_held[a].items()
     }
-    leveled = LeveledMatching(levels=levels, max_level=dict(state.max_level))
-    return leveled, Trace(tuple(events))
+    max_levels = {a_ids[a]: level for a, level in enumerate(max_level)}
+    leveled = LeveledMatching(levels=levels, max_level=max_levels)
+    return leveled, Trace(inst, record)
 
 
 def check_output_properties(inst: Instance, leveled: LeveledMatching) -> list[str]:
@@ -343,26 +317,19 @@ _CSV_COLUMNS = ["seq", "a", "level", "c_a", "b", "c_b", "rejected", "matching_si
 
 def trace_to_csv(inst: Instance, trace: Trace) -> str:
     """Render a trace as CSV with one row per proposal."""
+    a_names, b_names = inst.a_names, inst.b_names
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for seq, ev in enumerate(trace.events, start=1):
-        if ev.rejected is None:
-            rejected = "-"
-        else:
-            rejected = f"{inst.name(ev.rejected[0])}^{ev.rejected[1]}"
-        writer.writerow(
-            [
-                seq,
-                inst.name(ev.proposer),
-                ev.level,
-                ev.proposer_capacity,
-                inst.name(ev.receiver),
-                ev.receiver_capacity,
-                rejected,
-                ev.matching_size,
-            ]
+    writer.writerows(
+        (
+            seq, a_names[a], level, c_a, b_names[b], c_b,
+            "-" if rej < 0 else f"{a_names[rej]}^{rej_level}", size,
         )
+        for seq, (a, level, c_a, b, c_b, rej, rej_level, size) in enumerate(
+            _rows(trace), start=1
+        )
+    )
     return buf.getvalue()
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from popcrit.cli import main
@@ -155,3 +157,65 @@ def test_usage_errors_exit_one(argv, capsys):
         main(argv)
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+# sha256 of the stdout of `popcrit solve --emit-trace` and of the trace CSV
+# for `popcrit gen` instances, recorded before the solver moved to int ids.
+SOLVE_DIGESTS = [
+    (
+        ["--n-a", "6", "--n-b", "5", "--seed", "1"],
+        "d78109a31e40fa905917e6042a19b9eb2f2419339343c19213c0451a891f546d",
+        "ee2c342456c5198ece4ebb479286308c52c33958466cd01331fed26d0a084e84",
+    ),
+    (
+        ["--n-a", "10", "--n-b", "10", "--edge-density", "0.4", "--seed", "2"],
+        "b203d90213ab2a36b85c8584896fa78efac93f1ac819ff8a8a5d414ec8552752",
+        "2aacd08dc118eb537722e686ea05c87c7e145476b784391ecc830f53af378fcf",
+    ),
+    (
+        ["--n-a", "12", "--n-b", "8", "--max-upper", "4", "--lq-fraction", "0.8", "--seed", "3"],
+        "63b44726b3ec0838e9b1aa9bb1a68bfdf499d048fb46495b62f3c2a7da0e7d51",
+        "5783863f867b671be847be878d0d83d071cc2aef843b57ee37aac227fb95ea0b",
+    ),
+    (
+        ["--n-a", "8", "--n-b", "12", "--max-upper", "2", "--lq-fraction", "0.3",
+         "--edge-density", "0.6", "--seed", "4"],
+        "dc1a4e7ca4d51b7f2fe4f4f5245d16961498c7e360a54f8583724b31568f20d5",
+        "952ebf33363d9c38e32d15cd505684e4d54712e8a60ac040543fc21df7b5f4fb",
+    ),
+    (
+        ["--n-a", "20", "--n-b", "20", "--edge-density", "0.2", "--seed", "5"],
+        "d6df778f95d1415c1a5219dd09127e2b209ce950537a3cd541739e50fe8f8c23",
+        "adb31ebba9a104e447621027a9d9b8ba35ecdfd7699c3dc3ffb39620c7e23f7c",
+    ),
+    (
+        ["--n-a", "15", "--n-b", "15", "--max-upper", "5", "--lq-fraction", "1.0",
+         "--edge-density", "0.3", "--seed", "6"],
+        "c484267225975eaa18a2bc7e4b72b3d2f4551d0c2399cf8dac114e6a9cf7f95d",
+        "f8d2a9f9c005fb4a66bf4335a0039561e29d1e21b209a39c5175063204caefcf",
+    ),
+]
+
+
+@pytest.mark.parametrize("gen_args, stdout_digest, trace_digest", SOLVE_DIGESTS)
+def test_solve_output_matches_pinned_digests(gen_args, stdout_digest, trace_digest, tmp_path, capsys):
+    inst, trace = tmp_path / "gen.inst", tmp_path / "trace.csv"
+    assert main(["gen", *gen_args, "--out", str(inst)]) == 0
+    assert main(["solve", str(inst), "--emit-trace", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
+
+
+def test_solve_traces_a_quota_beyond_64_bits(tmp_path, capsys):
+    # The trace stores no quota, so an upper quota of 10**20 is rendered,
+    # never packed into a fixed-width integer.
+    path, trace = tmp_path / "huge.inst", tmp_path / "trace.csv"
+    path.write_text("A a1 0 100000000000000000000\nB b1 0 1\nPREF a1 b1\nPREF b1 a1\n")
+    assert main(["solve", str(path), "--emit-trace", str(trace)]) == 0
+    assert capsys.readouterr().out.endswith("# proposals 2\n")
+    assert trace.read_text() == (
+        "seq,a,level,c_a,b,c_b,rejected,matching_size\n"
+        "1,a1,0,100000000000000000000,b1,1,-,1\n"
+        "2,a1,1,100000000000000000000,b1,1,-,1\n"
+    )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from popcrit import (
     GenParams,
+    Instance,
     InvariantError,
+    Quotas,
     Side,
     VertexId,
     check_matching,
@@ -17,19 +20,56 @@ from popcrit import (
     generate_random_instance,
     parse_instance,
     parse_matching,
-    proposal_list,
-    proposer_capacity,
     read_trace_csv,
-    receiver_capacity,
     solve,
     trace_to_csv,
 )
-from popcrit.solver import SolverState, decide_acc_rej
 
 from conftest import DATA, run_python
+from trace_checker import OUTCOMES, check_trace
 
 A = lambda i: VertexId(Side.A, i)
 B = lambda i: VertexId(Side.B, i)
+
+# b3 holds a2 and a1 from levels 4 and 5 when a3 proposes to it at level 3,
+# below t = 4, where b3 offers only its lower quota 1.
+SHRUNK = """\
+A a1 2 3
+A a2 0 2
+A a3 0 2
+B b1 3 3
+B b2 0 2
+B b3 1 3
+PREF a1 b3
+PREF a2 b3 b2
+PREF a3 b1 b3 b2
+PREF b1 a3
+PREF b2 a2 a3
+PREF b3 a3 a2 a1
+"""
+
+
+def replay(inst):
+    """Solve, replay the trace against the rules and return the rows with
+    the outcome each one shows."""
+    leveled, trace = solve(inst)
+    text = trace_to_csv(inst, trace)
+    outcomes, levels = check_trace(inst, text)
+    assert levels == leveled.levels
+    return list(zip(read_trace_csv(text), outcomes))
+
+
+def duplicated_edge_instance() -> Instance:
+    """a1 lists b1 twice, which parse_instance refuses, so its second
+    proposal repeats the first at the same level."""
+    return Instance(
+        a_names=("a1",),
+        b_names=("b1",),
+        a_quotas=(Quotas(0, 2),),
+        b_quotas=(Quotas(0, 2),),
+        a_prefs=((B(0), B(0)),),
+        b_prefs=((A(0),),),
+    )
 
 
 # ------------------------------------------------------------ capacity rules
@@ -37,138 +77,131 @@ B = lambda i: VertexId(Side.B, i)
 
 def test_proposer_capacity_switches_to_lower_quota_above_t_plus_one(short_supply):
     # short_supply has s = 4, t = 1
-    a1, a3 = A(0), A(2)
-    assert [proposer_capacity(short_supply, a1, lv) for lv in range(7)] == [2, 2, 2, 1, 1, 1, 1]
-    assert [proposer_capacity(short_supply, a3, lv) for lv in range(7)] == [1] * 7
-    for bad in (-1, 7):
-        with pytest.raises(ValueError):
-            proposer_capacity(short_supply, a1, bad)
+    c_a = {}
+    for (_, a, level, cap, *_), _ in replay(short_supply):
+        c_a.setdefault(a, {})[int(level)] = int(cap)
+    assert c_a["a1"] == {0: 2, 1: 2, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1}
+    assert set(c_a["a3"].values()) == {1}
 
 
 def test_proposal_list_restricted_below_t(short_supply):
-    a1 = A(0)
+    lists = {}
+    for (_, a, level, _, b, *_), _ in replay(short_supply):
+        lists.setdefault((a, int(level)), []).append(b)
     # b1 carries no lower quota, so it is skipped below level t = 1
-    assert proposal_list(short_supply, a1, 0) == (B(1),)
-    assert proposal_list(short_supply, a1, 1) == (B(0), B(1))
-    assert proposal_list(short_supply, a1, 6) == (B(0), B(1))
-    with pytest.raises(ValueError):
-        proposal_list(short_supply, a1, 7)
+    assert lists[("a1", 0)] == ["b2"]
+    assert lists[("a1", 1)] == ["b1", "b2"]
+    assert lists[("a1", 6)] == ["b1"]
 
 
 def test_receiver_capacity_depends_on_level_and_partners(short_supply):
-    state = SolverState.initial(short_supply)
-    b1, b2 = B(0), B(1)
-    assert receiver_capacity(short_supply, state, b2, 0) == 1
-    assert receiver_capacity(short_supply, state, b1, 0) == 0
-    # no matched copy below t, so the upper quota applies from level t on
-    assert receiver_capacity(short_supply, state, b2, 1) == 2
-    state.set_edge(A(2), 0, b2)
-    assert receiver_capacity(short_supply, state, b2, 1) == 1
-    state.remove_edge(A(2), b2)
-    state.set_edge(A(2), 1, b2)
-    assert receiver_capacity(short_supply, state, b2, 1) == 2
+    rows = [row for row, _ in replay(short_supply)]
+    # below t = 1 b2 offers its lower quota
+    assert rows[0][1:6] == ["a1", "0", "2", "b2", "1"]
+    # b1 has lower quota 0, so nobody proposes to it below t
+    assert all(b != "b1" for _, _, level, _, b, *_ in rows if level == "0")
+    # from level t on b2 keeps its lower quota while a3 sits there at
+    # level 0, and opens up to its upper quota once a1 evicted it
+    assert rows[5][1:7] == ["a1", "1", "2", "b2", "1", "a3^0"]
+    assert rows[6][1:6] == ["a2", "1", "2", "b2", "2"]
 
 
 # ---------------------------------------------------------- accept or reject
 
 
-def _bare_state(inst):
-    state = SolverState.initial(inst)
-    state.queue.clear()
-    state.queued.clear()
-    return state
-
-
 def test_accept_into_free_capacity(one_post):
-    state = _bare_state(one_post)
-    b = B(0)
-    assert decide_acc_rej(state, A(4), 0, 1, b, 3) is None
-    assert state.partners[b] == {A(4): 0}
-    assert state.partners[A(4)] == {b: 0}
-    assert state.size == 1
-    assert not state.queue
+    row, outcome = replay(one_post)[0]
+    assert row == ["1", "a1", "0", "1", "b", "3", "-", "1"]
+    assert outcome == ("free_accept",)
 
 
 def test_full_receiver_evicts_its_worst_partner(one_post):
-    state = _bare_state(one_post)
-    b = B(0)
-    for i in (3, 4, 5):
-        state.set_edge(A(i), 0, b)
-    assert decide_acc_rej(state, A(0), 0, 1, b, 3) == (A(5), 0)
-    assert state.partners[b].keys() == {A(0), A(3), A(4)}
-    assert state.partners[A(5)] == {}
-    assert state.size == 3
-    # the evicted copy re-enters the queue at the level it held
-    assert list(state.queue) == [(A(5), 0)]
+    rows = replay(one_post)
+    # b holds a4, a5 and a6 at level 1; a3 ranks above a6 at that level
+    assert rows[9] == (["10", "a3", "1", "1", "b", "3", "a6^1", "3"], ("evict_worst",))
+    # the evicted copies re-enter the queue at the level they held, in
+    # the order they were evicted, and climb from there
+    evicted = [row[6] for row, _ in rows[6:9]]
+    assert evicted == ["a3^0", "a2^0", "a1^0"]
+    assert [(row[1], row[2]) for row, _ in rows[9:12]] == [("a3", "1"), ("a2", "1"), ("a1", "1")]
 
 
 def test_full_receiver_rejects_a_worse_proposer(one_post):
-    state = _bare_state(one_post)
-    b = B(0)
-    for i in (0, 1, 2):
-        state.set_edge(A(i), 0, b)
-    assert decide_acc_rej(state, A(5), 0, 1, b, 3) == (A(5), 0)
-    assert state.partners[b].keys() == {A(0), A(1), A(2)}
-    # the rejected proposer still has spare capacity, so it requeues to
-    # continue down its list
-    assert list(state.queue) == [(A(5), 0)]
+    row, outcome = replay(one_post)[3]
+    assert row == ["4", "a4", "0", "1", "b", "3", "a4^0", "3"]
+    assert outcome == ("reject_worse",)
 
 
 def test_higher_level_beats_better_rank(one_post):
-    state = _bare_state(one_post)
-    b = B(0)
-    for i in (0, 1, 2):
-        state.set_edge(A(i), 0, b)
-    assert decide_acc_rej(state, A(5), 1, 1, b, 3) == (A(2), 0)
-    assert A(5) in state.partners[b]
+    # a4 ranks below a1, a2 and a3 but proposes from level 1
+    row, outcome = replay(one_post)[6]
+    assert row == ["7", "a4", "1", "1", "b", "3", "a3^0", "3"]
+    assert outcome == ("level_beats_rank",)
 
 
-def test_repeat_proposal_lifts_the_existing_edge(one_post):
-    state = _bare_state(one_post)
-    b = B(0)
-    state.set_edge(A(0), 0, b)
-    assert decide_acc_rej(state, A(0), 2, 1, b, 3) is None
-    assert state.partners[b] == {A(0): 2}
-    assert state.partners[A(0)] == {b: 2}
-    assert state.size == 1
+def test_repeat_proposal_lifts_the_existing_edge(capacity_switch):
+    rows = replay(capacity_switch)
+    # a1 won b1 at level 1 and proposes to it again from level 2
+    assert rows[7][0][1:7] == ["a1", "1", "3", "b1", "1", "a4^1"]
+    assert rows[13] == (
+        ["14", "a1", "2", "3", "b1", "1", "-", "3"],
+        ("lift", "spare_requeue"),
+    )
 
 
-def test_shrunk_receiver_capacity_gives_plain_rejection(one_post):
-    state = _bare_state(one_post)
-    b = B(0)
-    state.set_edge(A(0), 0, b)
-    state.set_edge(A(1), 0, b)
-    assert decide_acc_rej(state, A(5), 0, 1, b, 1) == (A(5), 0)
-    assert state.partners[b].keys() == {A(0), A(1)}
+def test_shrunk_receiver_capacity_gives_plain_rejection():
+    rows = replay(parse_instance(SHRUNK))
+    # a3 is b3's first choice, but b3 already holds more than c_b
+    assert rows[19] == (["20", "a3", "3", "2", "b3", "1", "a3^3", "4"], ("shrunk_rejection",))
 
 
-def test_proposer_with_spare_capacity_requeues_itself(one_post):
-    state = _bare_state(one_post)
-    assert decide_acc_rej(state, A(0), 0, 3, B(0), 3) is None
-    assert list(state.queue) == [(A(0), 0)]
+def test_proposer_with_spare_capacity_requeues_itself(capacity_switch):
+    rows = replay(capacity_switch)
+    assert rows[0] == (["1", "a1", "0", "3", "b1", "1", "-", "1"], ("free_accept", "spare_requeue"))
+    # a1 keeps proposing at level 0 before it climbs
+    assert [row[2] for row, _ in rows if row[1] == "a1"][:2] == ["0", "0"]
 
 
-def test_repeat_proposal_at_the_same_level_breaks_an_invariant(one_post):
-    state = _bare_state(one_post)
-    state.set_edge(A(0), 2, B(0))
-    with pytest.raises(InvariantError, match="again at level 2"):
-        decide_acc_rej(state, A(0), 2, 1, B(0), 3)
+def test_trace_replay_sees_every_outcome(short_supply, one_post, capacity_switch):
+    seen = Counter()
+    instances = [short_supply, one_post, capacity_switch, parse_instance(SHRUNK)]
+    instances += [generate_random_instance(GenParams(n_a=6, n_b=6, seed=seed)) for seed in range(60)]
+    for inst in instances:
+        seen.update(name for _, outcome in replay(inst) for name in outcome)
+    assert [name for name in OUTCOMES if not seen[name]] == []
+
+
+def test_trace_replay_rejects_a_tampered_row(short_supply):
+    lines = trace_to_csv(short_supply, solve(short_supply)[1]).splitlines()
+    assert lines[2] == "2,a2,0,2,b2,1,a2^0,1"
+    for column, value in ((3, "1"), (4, "b1"), (5, "2"), (6, "-"), (7, "2")):
+        row = lines[2].split(",")
+        row[column] = value
+        tampered = "\n".join([*lines[:2], ",".join(row), *lines[3:]]) + "\n"
+        with pytest.raises(AssertionError):
+            check_trace(short_supply, tampered)
+
+
+def test_repeat_proposal_at_the_same_level_breaks_an_invariant():
+    with pytest.raises(InvariantError, match="a1 proposed to b1 again at level 0"):
+        solve(duplicated_edge_instance())
 
 
 def test_invariants_survive_the_optimize_flag():
     # Under -O plain asserts vanish; the solver's checks must not.
     code = (
-        "from pathlib import Path\n"
-        "from popcrit import InvariantError, Side, VertexId, parse_instance\n"
-        "from popcrit.solver import SolverState\n"
-        f"inst = parse_instance(Path({str(DATA / 'short_supply.inst')!r}).read_text())\n"
-        "state = SolverState.initial(inst)\n"
+        "from popcrit import Instance, InvariantError, Quotas, Side, VertexId, solve\n"
+        "a1, b1 = VertexId(Side.A, 0), VertexId(Side.B, 0)\n"
+        "inst = Instance(('a1',), ('b1',), (Quotas(0, 2),), (Quotas(0, 2),), "
+        "((b1, b1),), ((a1,),))\n"
         "try:\n"
-        "    state.enqueue(VertexId(Side.A, 0), 0)\n"
+        "    solve(inst)\n"
         "except InvariantError as exc:\n"
         "    print(__debug__, exc)\n"
     )
-    assert run_python(code, "-O") == "False a1 is already queued"
+    assert run_python(code, "-O") == (
+        "False a1 proposed to b1 again at level 0, already matched at level 0"
+    )
 
 
 # ------------------------------------------------------------------ full runs
