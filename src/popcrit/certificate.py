@@ -8,7 +8,8 @@ The matching lifts to a one-to-one matching over the clones that also
 covers every dummy.  Edge weights on the cloned graph encode the votes a
 pair of vertices would cast for using that edge instead of keeping their
 current partners, so any rival matching mapped onto the clones has total
-weight equal to its vote advantage.
+weight equal to its vote advantage.  The weights depend only on the lift,
+so ``build_cloned_graph`` stores each edge with its weight.
 
 Popularity then reduces to a linear-programming fact: the closed-form
 dual assignment below is feasible for the maximum-weight perfect-matching
@@ -79,12 +80,18 @@ def _canonical(u: CloneId, w: CloneId) -> CloneEdge:
 
 @dataclass(frozen=True)
 class ClonedGraph:
+    """The cloned graph of one leveled matching, with its lift ``mstar``.
+
+    ``edges`` maps each canonical edge (A-side partition first) to its
+    weight, computed once by ``build_cloned_graph``.
+    """
+
     inst: Instance
     leveled: LeveledMatching
     s: int
     t: int
     vertices: tuple[CloneId, ...]
-    edges: frozenset[CloneEdge]
+    edges: Mapping[CloneEdge, int]
     mstar: Mapping[CloneId, CloneId]
     mstar_by_edge: Mapping[Edge, CloneEdge]
     # A vertex's partition side is its side of the bipartition, so only
@@ -183,16 +190,30 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         for clone, resort in zip(free_clones[v], resorts_of[v]):
             bond(clone, resort, x)
 
-    edges = {_canonical(u, w) for u, w in mstar.items()}
+    # Weights depend only on the lift.  Lifted pairs weigh 0; a clone's
+    # edge to a last-resort or dummy weighs -1 when it gives up a real
+    # lifted partner, else 0; a clone-clone edge sums each owner's vote
+    # against its clone's lifted partner, computed once per clone.
+    def real_partner(u: CloneId) -> Optional[VertexId]:
+        w = mstar[u]
+        return VertexId(w.side, w.owner) if w.kind is CloneKind.CLONE else None
+
+    def artificial_weight(clone: CloneId) -> int:
+        return -1 if mstar[clone].kind is CloneKind.CLONE else 0
+
+    edges: dict[CloneEdge, int] = {_canonical(u, w): 0 for u, w in mstar.items()}
     for a, b in sorted(inst.edges - m.pairs):
+        votes_b = [(bj, vote(inst, b, a, real_partner(bj))) for bj in clones_of[b]]
         for ai in clones_of[a]:
-            for bj in clones_of[b]:
-                edges.add((ai, bj))
+            va = vote(inst, a, b, real_partner(ai))
+            for bj, vb in votes_b:
+                edges[(ai, bj)] = va + vb
     for side in (Side.A, Side.B):
         for v in inst.vertices(side):
             for clone in clones_of[v]:
+                wt = artificial_weight(clone)
                 for dummy in dummies[side]:
-                    edges.add(_canonical(clone, dummy))
+                    edges[_canonical(clone, dummy)] = wt
 
     lr_adjacent: set[CloneId] = set()
     for v in inst.all_vertices():
@@ -206,8 +227,9 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
             )
         lr_adjacent.update(connected)
         for clone in connected:
+            wt = artificial_weight(clone)
             for resort in resorts_of[v]:
-                edges.add(_canonical(clone, resort))
+                edges[_canonical(clone, resort)] = wt
 
     vertices = (
         [c for v in inst.all_vertices() for c in clones_of[v]]
@@ -221,7 +243,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         s=s,
         t=t,
         vertices=tuple(vertices),
-        edges=frozenset(edges),
+        edges=edges,
         mstar=mstar,
         mstar_by_edge=mstar_by_edge,
         level=level,
@@ -232,45 +254,17 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     )
 
 
-def _owner(u: CloneId) -> VertexId:
-    return VertexId(u.side, u.owner)
-
-
-def _mstar_true_partner(g: ClonedGraph, u: CloneId) -> Optional[VertexId]:
-    """The real vertex u's lifted partner stands for, None for a
-    last-resort or dummy partner."""
-    w = g.mstar[u]
-    return _owner(w) if w.kind is CloneKind.CLONE else None
-
-
 def edge_weight(g: ClonedGraph, inst: Instance, e: CloneEdge) -> int:
     """Combined vote of the edge's endpoints for each other, against their
-    lifted partners.
+    lifted partners, as stored in ``g.edges`` when g was built.
 
-    Edges of the lifted matching weigh 0.  On any other edge between two
-    real clones both owners compare the new partner with their lifted one
-    (a last-resort or dummy partner counts as unmatched).  An edge from a
-    clone to a last-resort or dummy weighs 0 when the clone's lifted
-    partner is artificial as well, and -1 when it gives up a real partner.
-    Raises ValueError for edges outside the graph.
+    ``inst`` is not read: the weights come from g.  Raises ValueError for
+    edges outside the graph.
     """
-    u, w = g.canonical(*e)
-    if (u, w) not in g.edges:
-        raise ValueError("edge not present in the cloned graph")
-    return _weight(g, inst, u, w)
-
-
-def _weight(g: ClonedGraph, inst: Instance, u: CloneId, w: CloneId) -> int:
-    """edge_weight's rule for an edge (u, w) known to be in the graph."""
-    if u.kind is CloneKind.CLONE and w.kind is CloneKind.CLONE:
-        if g.mstar[u] == w:
-            return 0
-        a, b = _owner(u), _owner(w)
-        return vote(inst, a, b, _mstar_true_partner(g, u)) + vote(
-            inst, b, a, _mstar_true_partner(g, w)
-        )
-    clone = u if u.kind is CloneKind.CLONE else w
-    return 0 if g.mstar[clone].kind is not CloneKind.CLONE else -1
+    try:
+        return g.edges[g.canonical(*e)]
+    except KeyError:
+        raise ValueError("edge not present in the cloned graph") from None
 
 
 @dataclass(frozen=True)
@@ -325,9 +319,9 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     sum to zero; no edge drops more than one level from the A-side
     partition to the B-side; lifted matching edges are tight at weight 0;
     all weights lie in [-2, 2]; true edges within one level weigh <= 0 on
-    the same level and exactly -2 one level down.
+    the same level and exactly -2 one level down.  The weights are the ones
+    stored in ``g.edges`` at build time.
     """
-    inst = g.inst
     alpha = cert.alpha
     failures: list[str] = []
     results: dict[str, bool] = {
@@ -354,8 +348,7 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     def fail_edge(u: CloneId, w: CloneId, check: str, message: str) -> None:
         edge_failures.append(((u, w), check, message))
 
-    for u, w in g.edges:
-        wt = _weight(g, inst, u, w)
+    for (u, w), wt in g.edges.items():
         if alpha[u] + alpha[w] < wt:
             fail_edge(
                 u, w, "edge_inequalities",
@@ -535,5 +528,8 @@ def map_matching_to_clones(
 def clone_matching_weight(
     g: ClonedGraph, inst: Instance, nstar: frozenset[CloneEdge]
 ) -> int:
-    """Total weight of a clone matching, for comparing against delta."""
+    """Total weight of a clone matching, for comparing against delta.
+
+    The weights come from g; ``inst`` is not read.
+    """
     return sum(edge_weight(g, inst, e) for e in nstar)

@@ -77,15 +77,8 @@ class Instance:
     def upper(self, v: VertexId) -> int:
         return self.quotas(v).upper
 
-    def is_lq(self, v: VertexId) -> bool:
-        return self.quotas(v).lower > 0
-
     def pref(self, v: VertexId) -> tuple[VertexId, ...]:
         return (self.a_prefs if v.side is Side.A else self.b_prefs)[v.index]
-
-    def pref_lq(self, v: VertexId) -> tuple[VertexId, ...]:
-        """The preference list of v restricted to lower-quota neighbors."""
-        return self._prefs_lq[v]
 
     def rank(self, v: VertexId, u: VertexId) -> int:
         """Position of u in v's preference list (0 is best).
@@ -108,13 +101,6 @@ class Instance:
         for v in self.all_vertices():
             out[v] = {u: i for i, u in enumerate(self.pref(v))}
         return out
-
-    @cached_property
-    def _prefs_lq(self) -> dict[VertexId, tuple[VertexId, ...]]:
-        return {
-            v: tuple(u for u in self.pref(v) if self.is_lq(u))
-            for v in self.all_vertices()
-        }
 
     @cached_property
     def edges(self) -> frozenset[tuple[VertexId, VertexId]]:

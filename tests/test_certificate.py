@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -45,6 +46,29 @@ def short_supply_graph(short_supply):
 def capacity_switch_graph(capacity_switch):
     leveled, _ = solve(capacity_switch)
     return build_cloned_graph(capacity_switch, leveled)
+
+
+@pytest.fixture(scope="module")
+def high_quota_graph():
+    # Shaped like the benchmark's wide instances: 30 + 30 vertices, dense,
+    # upper quotas up to 20, so each vertex owns many clones and
+    # last-resorts.
+    inst = generate_random_instance(
+        GenParams(n_a=30, n_b=30, max_upper=20, lq_fraction=0.2, edge_density=0.9, seed=0)
+    )
+    leveled, _ = solve(inst)
+    return build_cloned_graph(inst, leveled)
+
+
+@pytest.fixture(scope="module")
+def deficient_graph():
+    inst = generate_random_instance(
+        GenParams(n_a=5, n_b=5, max_upper=3, lq_fraction=0.8, edge_density=0.4, seed=3)
+    )
+    leveled, _ = solve(inst)
+    g = build_cloned_graph(inst, leveled)
+    assert g.dummies[Side.A] and g.dummies[Side.B]
+    return g
 
 
 def _clone(side, index, ordinal):
@@ -154,17 +178,32 @@ def _recomputed_weight(g, inst, u, w):
     return vote(inst, a, b, lifted_real(u)) + vote(inst, b, a, lifted_real(w))
 
 
-@pytest.mark.parametrize("graph_name", ["short_supply_graph", "capacity_switch_graph"])
+def _family_and_weight(g, u, w):
+    """The weight rule restated from the lift alone, with the edge family
+    it applies to."""
+    if g.mstar.get(u) == w:
+        return "lifted", 0
+    if u.kind is CloneKind.CLONE and w.kind is CloneKind.CLONE:
+        return "clone-clone", _recomputed_weight(g, g.inst, u, w)
+    clone, other = (u, w) if u.kind is CloneKind.CLONE else (w, u)
+    gives_up_real = g.mstar[clone].kind is CloneKind.CLONE
+    return f"clone-{other.kind.value}", -1 if gives_up_real else 0
+
+
+@pytest.mark.parametrize(
+    "graph_name",
+    ["short_supply_graph", "capacity_switch_graph", "high_quota_graph", "deficient_graph"],
+)
 def test_true_edge_weights_match_vote_recomputation(graph_name, request):
     g = request.getfixturevalue(graph_name)
-    checked = 0
+    seen = Counter()
     for u, w in sorted(g.edges):
-        if u.kind is not CloneKind.CLONE or w.kind is not CloneKind.CLONE:
-            continue
-        expected = 0 if g.mstar[u] == w else _recomputed_weight(g, g.inst, u, w)
+        family, expected = _family_and_weight(g, u, w)
         assert edge_weight(g, g.inst, (u, w)) == expected
-        checked += 1
-    assert checked > 5
+        assert edge_weight(g, g.inst, (w, u)) == expected
+        seen[family] += 1
+    assert {"lifted", "clone-clone", "clone-last_resort"} <= set(seen)
+    assert ("clone-dummy" in seen) == any(g.dummies.values())
 
 
 # -------------------------------------------------------------------- duals
@@ -354,18 +393,11 @@ def test_random_rival_lifts_realize_their_delta(seed):
         assert value <= 0
 
 
-def test_lift_realizes_delta_at_high_quotas():
-    # Shaped like the benchmark's wide instances: 30 + 30 vertices, dense,
-    # upper quotas up to 20, so each vertex owns many clones and
-    # last-resorts.  Rivals are the solver's matchings under reshuffled
-    # preference orders, which keep the edges and quotas and so stay
-    # critical.
-    inst = generate_random_instance(
-        GenParams(n_a=30, n_b=30, max_upper=20, lq_fraction=0.2, edge_density=0.9, seed=0)
-    )
-    leveled, _ = solve(inst)
-    g = build_cloned_graph(inst, leveled)
-    m = leveled.matching
+def test_lift_realizes_delta_at_high_quotas(high_quota_graph):
+    # Rivals are the solver's matchings under reshuffled preference orders,
+    # which keep the edges and quotas and so stay critical.
+    g = high_quota_graph
+    inst, m = g.inst, g.leveled.matching
     rng = random.Random(0)
 
     def shuffled(prefs):

@@ -38,14 +38,6 @@ def test_parse_short_supply_fields(short_supply):
     assert len(short_supply.edges) == 5
 
 
-def test_pref_lq_keeps_only_lower_quota_vertices(short_supply):
-    a1 = VertexId(Side.A, 0)
-    # b1 has lower quota 0, so it is dropped from the restricted list
-    assert short_supply.pref_lq(a1) == (VertexId(Side.B, 1),)
-    assert short_supply.is_lq(VertexId(Side.B, 1))
-    assert not short_supply.is_lq(VertexId(Side.B, 0))
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_cached_lower_sums_and_lists_match_a_recomputation(seed):
     inst = generate_random_instance(
@@ -53,11 +45,6 @@ def test_cached_lower_sums_and_lists_match_a_recomputation(seed):
     )
     assert inst.sum_lower(Side.A) == sum(q.lower for q in inst.a_quotas)
     assert inst.sum_lower(Side.B) == sum(q.lower for q in inst.b_quotas)
-    for v in inst.all_vertices():
-        want = tuple(u for u in inst.pref(v) if inst.quotas(u).lower > 0)
-        assert inst.pref_lq(v) == want
-        # a second call hands back the cached tuple, not a rebuilt one
-        assert inst.pref_lq(v) is inst.pref_lq(v)
 
 
 def test_rank_and_degree(short_supply):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +25,7 @@ from popcrit import (
     trace_to_csv,
 )
 
+import popcrit.solver
 from conftest import DATA, run_python
 from trace_checker import OUTCOMES, check_trace
 
@@ -278,6 +279,36 @@ def test_solve_is_deterministic(capacity_switch):
     first = trace_to_csv(capacity_switch, solve(capacity_switch)[1])
     second = trace_to_csv(capacity_switch, solve(capacity_switch)[1])
     assert first == second
+
+
+class _LifoQueue(deque):
+    """A deque whose popleft pops from the right: the solver's FIFO queue
+    becomes a LIFO stack."""
+
+    def popleft(self):
+        return self.pop()
+
+
+def test_outcome_does_not_depend_on_the_queue_order(
+    monkeypatch, short_supply, capacity_switch, one_post
+):
+    # Deferred acceptance is order-independent; so, observed here, is the
+    # leveled variant: the queue order moves only the trace's row order.
+    instances = [short_supply, capacity_switch, one_post] + [
+        generate_random_instance(GenParams(n_a=6, n_b=6, seed=seed)) for seed in range(300)
+    ]
+
+    def outcome(inst):
+        leveled, trace = solve(inst)
+        proposals = Counter((ev.proposer, ev.level, ev.receiver) for ev in trace.events)
+        return leveled.levels, leveled.max_level, proposals, trace_to_csv(inst, trace)
+
+    fifo = [outcome(inst) for inst in instances]
+    monkeypatch.setattr(popcrit.solver, "deque", _LifoQueue)
+    lifo = [outcome(inst) for inst in instances]
+    assert [run[:3] for run in lifo] == [run[:3] for run in fifo]
+    # The stack really changed the order in which proposals were made.
+    assert any(stack[3] != queue[3] for stack, queue in zip(lifo, fifo))
 
 
 @settings(max_examples=60, deadline=None)
