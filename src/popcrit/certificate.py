@@ -9,7 +9,10 @@ covers every dummy.  Edge weights on the cloned graph encode the votes a
 pair of vertices would cast for using that edge instead of keeping their
 current partners, so any rival matching mapped onto the clones has total
 weight equal to its vote advantage.  The weights depend only on the lift,
-so ``build_cloned_graph`` stores each edge with its weight.
+so the graph stores only the lifted pairs: every other edge, and its
+weight, follows from a rank per clone and the unmatched real edges (see
+``CloneEdges``).  Each real edge (a, b) stands for upper(a)·upper(b) clone
+pairs, and all of them are checked at once.
 
 Popularity then reduces to a linear-programming fact: the closed-form
 dual assignment below is feasible for the maximum-weight perfect-matching
@@ -22,16 +25,17 @@ together edge by edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional
+from operator import sub
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .matchings import (
     Correspondence,
     Matching,
     deficiency,
     validate_correspondence,
-    vote,
 )
 from .model import Instance, Side, VertexId
 from .solver import InvariantError, LeveledMatching
@@ -56,10 +60,10 @@ class CloneId(NamedTuple):
 _NO_OWNER = -1
 
 
-# Module-level aliases of the members _left_of_bipartition compares with:
-# looking up an enum member through its class costs about 165 ns on
-# Python 3.11, and the test runs once per vertex and for many edges.
-_CLONE = CloneKind.CLONE
+# Module-level aliases of the enum members that _left_of_bipartition and
+# the edge rule compare with: looking up an enum member through its class
+# costs about 165 ns on Python 3.11, and both run for many edges.
+_CLONE, _LAST_RESORT = CloneKind.CLONE, CloneKind.LAST_RESORT
 _SIDE_A, _SIDE_B = Side.A, Side.B
 
 
@@ -78,12 +82,204 @@ def _canonical(u: CloneId, w: CloneId) -> CloneEdge:
     return (u, w) if _left_of_bipartition(u) else (w, u)
 
 
+# The rank of an artificial lifted partner: every real partner beats it.
+_UNRANKED = math.inf
+
+
+class Block(NamedTuple):
+    """The edges left × right, each of canonical orientation.  The pair
+    (left[i], right[j]) weighs left_terms[i] + right_terms[j]."""
+
+    left: tuple[CloneId, ...]
+    left_terms: list[int]
+    right: tuple[CloneId, ...]
+    right_terms: list[int]
+    # Set on clone–clone blocks, whose pairs are true edges.
+    true_edges: bool
+
+
+class CloneEdges(Mapping[CloneEdge, int]):
+    """The edges of a cloned graph, each canonical edge (A-side partition
+    first) mapped to its weight.
+
+    Only the lifted pairs are stored, each at weight 0.  Every other edge
+    follows from the lift, and its weight is the sum of two terms:
+
+    - Clone–clone: (ai, bj) is an edge when (a, b) is an unmatched real
+      edge.  Its weight is vote(a, b, p(ai)) + vote(b, a, p(bj)), where
+      p(x) is the owner of x's lifted partner.  Each vote is one rank
+      comparison against ``partner_rank``.
+    - Clone–dummy: every clone is joined to every dummy of its side.
+    - Clone–last-resort: a clone in ``lr_adjacent`` is joined to every
+      last-resort of its owner.
+    - An artificial edge weighs -1 when the clone gives up a real lifted
+      partner, else 0.
+
+    Iteration yields the lifted pairs, then the other edges block by block
+    (see ``blocks``).  ``len`` is counted when the mapping is built.
+    """
+
+    __slots__ = (
+        "lifted", "partner_rank", "unmatched", "lr_adjacent",
+        "_clones_of", "_clones_by_index", "_resorts_of", "_dummies", "_artificial",
+        "_size",
+    )
+
+    def __init__(
+        self,
+        lifted: dict[CloneEdge, int],
+        partner_rank: dict[CloneId, float],
+        unmatched: dict[tuple[int, int], tuple[int, int]],
+        lr_adjacent: frozenset[CloneId],
+        clones_of: Mapping[VertexId, tuple[CloneId, ...]],
+        resorts_of: Mapping[VertexId, tuple[CloneId, ...]],
+        dummies: Mapping[Side, tuple[CloneId, ...]],
+    ) -> None:
+        # The lifted pairs, each at weight 0.
+        self.lifted = lifted
+        # Each clone's rank of its lifted real partner, or _UNRANKED.
+        self.partner_rank = partner_rank
+        # (a.index, b.index) of each unmatched real edge (a, b), in sorted
+        # order, mapped to (a's rank of b, b's rank of a).
+        self.unmatched = unmatched
+        self.lr_adjacent = lr_adjacent
+        self._clones_of = clones_of
+        # Each side's clones by owner index.
+        self._clones_by_index = tuple(
+            {v.index: cs for v, cs in clones_of.items() if v.side is side}
+            for side in (_SIDE_A, _SIDE_B)
+        )
+        self._resorts_of = resorts_of
+        self._dummies = dummies
+        self._artificial = frozenset(
+            [r for rs in resorts_of.values() for r in rs]
+            + [d for ds in dummies.values() for d in ds]
+        )
+        lifted_clone_pairs = sum(
+            1 for u, w in lifted if u.kind is _CLONE and w.kind is _CLONE
+        )
+        self._size = lifted_clone_pairs + sum(
+            len(left) * len(right) for left, right, _ in self._products()
+        )
+
+    def _products(
+        self,
+    ) -> Iterator[tuple[tuple[CloneId, ...], tuple[CloneId, ...], Optional[tuple[int, int]]]]:
+        """The edges outside the lifted clone–clone pairs as products
+        left × right of canonical edges, each with the ranks of its real
+        edge, or None for an artificial block.  The artificial blocks
+        include their lifted pairs."""
+        clones_of, resorts_of = self._clones_of, self._resorts_of
+        a_clones, b_clones = self._clones_by_index
+        for (i, j), ranks in self.unmatched.items():
+            # A vertex of upper quota 0 has no clones.
+            if a_clones[i] and b_clones[j]:
+                yield a_clones[i], b_clones[j], ranks
+        for side in (_SIDE_A, _SIDE_B):
+            dummies = self._dummies[side]
+            if dummies:
+                clones = tuple(
+                    c for v, cs in clones_of.items() if v.side is side for c in cs
+                )
+                yield (clones, dummies, None) if side is _SIDE_A else (dummies, clones, None)
+        for v, resorts in resorts_of.items():
+            adjacent = tuple(c for c in clones_of[v] if c in self.lr_adjacent)
+            if adjacent and resorts:
+                yield (adjacent, resorts, None) if v.side is _SIDE_A else (resorts, adjacent, None)
+
+    def blocks(self) -> Iterator[Block]:
+        """Every edge outside the lifted pairs, once, as blocks.
+
+        There is one block per unmatched real edge, one clone–dummy block
+        per side and one clone–last-resort block per vertex.  The
+        artificial blocks also contain their lifted pairs, which callers
+        skip.
+        """
+        rank = self.partner_rank
+        for left, right, ranks in self._products():
+            if ranks is None:
+                # A clone's term is its cost of leaving its lifted partner;
+                # dummies and last-resorts have no rank and add nothing.
+                yield Block(
+                    left,
+                    [-1 if rank.get(u, _UNRANKED) < _UNRANKED else 0 for u in left],
+                    right,
+                    [-1 if rank.get(w, _UNRANKED) < _UNRANKED else 0 for w in right],
+                    False,
+                )
+            else:
+                ra, rb = ranks
+                yield Block(
+                    left,
+                    [1 if ra < p else -1 for p in map(rank.__getitem__, left)],
+                    right,
+                    [1 if rb < p else -1 for p in map(rank.__getitem__, right)],
+                    True,
+                )
+
+    def _implicit_weight(self, e: CloneEdge) -> Optional[int]:
+        """The weight of e by the rule, or None when e is not an edge;
+        lifted clone–clone pairs are left to ``lifted``."""
+        u, w = e
+        rank = self.partner_rank
+        if u.kind is _CLONE and w.kind is _CLONE:
+            if u.side is not _SIDE_A or w.side is not _SIDE_B:
+                return None
+            ranks = self.unmatched.get((u.owner, w.owner))
+            ru, rw = rank.get(u), rank.get(w)
+            if ranks is None or ru is None or rw is None:
+                return None
+            return (1 if ranks[0] < ru else -1) + (1 if ranks[1] < rw else -1)
+        if u.kind is _CLONE:
+            clone, other, side = u, w, _SIDE_A
+        elif w.kind is _CLONE:
+            clone, other, side = w, u, _SIDE_B
+        else:
+            return None
+        r = rank.get(clone)
+        if (
+            r is None
+            or clone.side is not side
+            or other.side is not side
+            or other not in self._artificial
+        ):
+            return None
+        if other.kind is _LAST_RESORT and (
+            other.owner != clone.owner or clone not in self.lr_adjacent
+        ):
+            return None
+        return -1 if r < _UNRANKED else 0
+
+    def __getitem__(self, e: CloneEdge) -> int:
+        wt = self.lifted.get(e)
+        if wt is None:
+            wt = self._implicit_weight(e)
+            if wt is None:
+                raise KeyError(e)
+        return wt
+
+    def __contains__(self, e: object) -> bool:
+        return e in self.lifted or self._implicit_weight(e) is not None
+
+    def __iter__(self) -> Iterator[CloneEdge]:
+        yield from self.lifted
+        for left, right, _ in self._products():
+            for u in left:
+                for w in right:
+                    if (u, w) not in self.lifted:
+                        yield u, w
+
+    def __len__(self) -> int:
+        return self._size
+
+
 @dataclass(frozen=True)
 class ClonedGraph:
     """The cloned graph of one leveled matching, with its lift ``mstar``.
 
     ``edges`` maps each canonical edge (A-side partition first) to its
-    weight, computed once by ``build_cloned_graph``.
+    weight.  It stores only the lifted pairs and answers every other edge
+    from per-clone tables (see ``CloneEdges``).
     """
 
     inst: Instance
@@ -91,7 +287,7 @@ class ClonedGraph:
     s: int
     t: int
     vertices: tuple[CloneId, ...]
-    edges: Mapping[CloneEdge, int]
+    edges: CloneEdges
     mstar: Mapping[CloneId, CloneId]
     mstar_by_edge: Mapping[Edge, CloneEdge]
     # A vertex's partition side is its side of the bipartition, so only
@@ -160,6 +356,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     mstar: dict[CloneId, CloneId] = {}
     level: dict[CloneId, int] = {}
     mstar_by_edge: dict[Edge, CloneEdge] = {}
+    partner_rank = {c: _UNRANKED for cs in clones_of.values() for c in cs}
     free_clones = {v: iter(clones_of[v]) for v in inst.all_vertices()}
 
     def bond(u: CloneId, w: CloneId, x: int) -> None:
@@ -171,6 +368,8 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         ai, bj = next(free_clones[a]), next(free_clones[b])
         mstar_by_edge[(a, b)] = (ai, bj)
         bond(ai, bj, leveled.levels[(a, b)])
+        partner_rank[ai] = inst.rank(a, b)
+        partner_rank[bj] = inst.rank(b, a)
 
     for side, dummy_level in ((Side.A, top), (Side.B, 0)):
         pool = iter(dummies[side])
@@ -190,46 +389,29 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         for clone, resort in zip(free_clones[v], resorts_of[v]):
             bond(clone, resort, x)
 
-    # Weights depend only on the lift.  Lifted pairs weigh 0; a clone's
-    # edge to a last-resort or dummy weighs -1 when it gives up a real
-    # lifted partner, else 0; a clone-clone edge sums each owner's vote
-    # against its clone's lifted partner, computed once per clone.
-    def real_partner(u: CloneId) -> Optional[VertexId]:
-        w = mstar[u]
-        return VertexId(w.side, w.owner) if w.kind is CloneKind.CLONE else None
-
-    def artificial_weight(clone: CloneId) -> int:
-        return -1 if mstar[clone].kind is CloneKind.CLONE else 0
-
-    edges: dict[CloneEdge, int] = {_canonical(u, w): 0 for u, w in mstar.items()}
-    for a, b in sorted(inst.edges - m.pairs):
-        votes_b = [(bj, vote(inst, b, a, real_partner(bj))) for bj in clones_of[b]]
-        for ai in clones_of[a]:
-            va = vote(inst, a, b, real_partner(ai))
-            for bj, vb in votes_b:
-                edges[(ai, bj)] = va + vb
-    for side in (Side.A, Side.B):
-        for v in inst.vertices(side):
-            for clone in clones_of[v]:
-                wt = artificial_weight(clone)
-                for dummy in dummies[side]:
-                    edges[_canonical(clone, dummy)] = wt
-
     lr_adjacent: set[CloneId] = set()
     for v in inst.all_vertices():
         if not resorts_of[v]:
             continue
         if len(m.partners(v)) > inst.lower(v):
-            connected = clones_of[v]
+            lr_adjacent.update(clones_of[v])
         else:
-            connected = tuple(
+            lr_adjacent.update(
                 c for c in clones_of[v] if mstar[c].kind is CloneKind.LAST_RESORT
             )
-        lr_adjacent.update(connected)
-        for clone in connected:
-            wt = artificial_weight(clone)
-            for resort in resorts_of[v]:
-                edges[_canonical(clone, resort)] = wt
+
+    edges = CloneEdges(
+        lifted={_canonical(u, w): 0 for u, w in mstar.items()},
+        partner_rank=partner_rank,
+        unmatched={
+            (a.index, b.index): (inst.rank(a, b), inst.rank(b, a))
+            for a, b in sorted(inst.edges - m.pairs)
+        },
+        lr_adjacent=frozenset(lr_adjacent),
+        clones_of=clones_of,
+        resorts_of=resorts_of,
+        dummies=dummies,
+    )
 
     vertices = (
         [c for v in inst.all_vertices() for c in clones_of[v]]
@@ -247,7 +429,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         mstar=mstar,
         mstar_by_edge=mstar_by_edge,
         level=level,
-        lr_adjacent=frozenset(lr_adjacent),
+        lr_adjacent=edges.lr_adjacent,
         dummies=dummies,
         clones_of=clones_of,
         resorts_of=resorts_of,
@@ -256,13 +438,13 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
 
 def edge_weight(g: ClonedGraph, inst: Instance, e: CloneEdge) -> int:
     """Combined vote of the edge's endpoints for each other, against their
-    lifted partners, as stored in ``g.edges`` when g was built.
+    lifted partners, as ``g.edges`` gives it.
 
     ``inst`` is not read: the weights come from g.  Raises ValueError for
     edges outside the graph.
     """
     try:
-        return g.edges[g.canonical(*e)]
+        return g.edges[_canonical(*e)]
     except KeyError:
         raise ValueError("edge not present in the cloned graph") from None
 
@@ -311,6 +493,41 @@ class CertificateReport:
         return tuple(name for name, passed in self.checks if not passed)
 
 
+def _block_holds(
+    block: Block, alpha: Mapping[CloneId, int], level: Mapping[CloneId, int]
+) -> bool:
+    """Whether every pair of the block passes the edge checks of
+    ``verify_certificate``, decided from per-side minima and maxima in time
+    linear in the block's vertices.  Lifted pairs in the block count too,
+    so a block holding one of them can fail spuriously but never pass
+    wrongly."""
+    left, fs, right, hs, true_edges = block
+    if (
+        min(map(sub, map(alpha.__getitem__, left), fs))
+        + min(map(sub, map(alpha.__getitem__, right), hs))
+        < 0
+    ):
+        return False
+    if min(fs) + min(hs) < -2 or max(fs) + max(hs) > 2:
+        return False
+    xs = list(map(level.__getitem__, left))
+    ys = list(map(level.__getitem__, right))
+    if max(xs) > min(ys) + 1:
+        return False
+    # Every weight is at least -2 by now, so a pair of levels meets the
+    # level-weight bounds exactly when its heaviest pair does.  Sorting
+    # leaves the largest term of each level last, which is the one dict()
+    # keeps.
+    top_right = dict(sorted(zip(ys, hs)))
+    for x, f in dict(sorted(zip(xs, fs))).items():
+        below, same = top_right.get(x - 1), top_right.get(x)
+        if below is not None and f + below != -2:
+            return False
+        if true_edges and same is not None and f + same > 0:
+            return False
+    return True
+
+
 def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateReport:
     """Numerically verify that the dual certificate proves popularity.
 
@@ -320,7 +537,16 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     partition to the B-side; lifted matching edges are tight at weight 0;
     all weights lie in [-2, 2]; true edges within one level weigh <= 0 on
     the same level and exactly -2 one level down.  The weights are the ones
-    stored in ``g.edges`` at build time.
+    ``g.edges`` gives.
+
+    The lifted pairs are checked one by one and every other edge block by
+    block (``CloneEdges.blocks``).  A pair weighs the sum of two terms, so
+    each edge check on a block reduces to minima and maxima over its two
+    sides: the edge inequalities hold for all pairs exactly when
+    min(alpha_u - term_u) + min(alpha_w - term_w) >= 0, and the level
+    checks compare per-level extremes.  Only a block that fails is checked
+    again pair by pair, so the failures name the same edges, in the same
+    order, as a check of every pair would.
     """
     alpha = cert.alpha
     failures: list[str] = []
@@ -348,7 +574,7 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     def fail_edge(u: CloneId, w: CloneId, check: str, message: str) -> None:
         edge_failures.append(((u, w), check, message))
 
-    for (u, w), wt in g.edges.items():
+    def check_edge(u: CloneId, w: CloneId, wt: int) -> None:
         if alpha[u] + alpha[w] < wt:
             fail_edge(
                 u, w, "edge_inequalities",
@@ -382,6 +608,16 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
                 f"lifted edge {label(u, w)} is not tight: "
                 f"{alpha[u] + alpha[w]} != {wt}",
             )
+
+    lifted = g.edges.lifted
+    for (u, w), wt in lifted.items():
+        check_edge(u, w, wt)
+    for block in g.edges.blocks():
+        if not _block_holds(block, alpha, g.level):
+            for u, f in zip(block.left, block.left_terms):
+                for w, h in zip(block.right, block.right_terms):
+                    if (u, w) not in lifted:
+                        check_edge(u, w, f + h)
     edge_failures.sort(key=lambda failure: failure[0])
     for _, check, message in edge_failures:
         fail(check, message)
@@ -492,7 +728,11 @@ def map_matching_to_clones(
                 raise InvariantError("dummies exhausted for a deficient vertex")
             bond(u, dummy)
 
+    # Only the loop below bonds last-resorts, so a cursor per vertex finds
+    # the first free one; a clone reaches its owner's last-resorts exactly
+    # when it is in lr_adjacent.
     for v in inst.all_vertices():
+        free_resorts = iter(g.resorts_of[v])
         for u in g.clones_of[v]:
             if u in nstar:
                 continue
@@ -500,14 +740,7 @@ def map_matching_to_clones(
             if dummy is not None:
                 bond(u, dummy)
                 continue
-            resort = next(
-                (
-                    r
-                    for r in g.resorts_of[v]
-                    if r not in nstar and _canonical(u, r) in g.edges
-                ),
-                None,
-            )
+            resort = next(free_resorts, None) if u in g.lr_adjacent else None
             if resort is None:
                 raise InvariantError("no slot left for an unmatched clone")
             bond(u, resort)
@@ -516,13 +749,10 @@ def map_matching_to_clones(
         if not all(d in nstar for d in g.dummies[side]):
             raise InvariantError("unmatched dummy")
 
-    out = set()
-    for u, w in nstar.items():
-        e = _canonical(u, w)
-        if e not in g.edges:
-            raise InvariantError("lifted matching uses a non-edge")
-        out.add(e)
-    return frozenset(out)
+    out = frozenset(_canonical(u, w) for u, w in nstar.items())
+    if not all(e in g.edges for e in out):
+        raise InvariantError("lifted matching uses a non-edge")
+    return out
 
 
 def clone_matching_weight(

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from popcrit import (
@@ -13,6 +14,7 @@ from popcrit import (
     CloneId,
     CloneKind,
     Correspondence,
+    DualCertificate,
     GenParams,
     Side,
     VertexId,
@@ -25,6 +27,7 @@ from popcrit import (
     generate_random_instance,
     map_matching_to_clones,
     max_delta,
+    parse_instance,
     parse_matching,
     random_correspondence,
     render_certificate_report,
@@ -34,6 +37,7 @@ from popcrit import (
 )
 
 from conftest import DATA, all_correspondences, run_python
+from reference_verifier import reference_verify
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +208,112 @@ def test_true_edge_weights_match_vote_recomputation(graph_name, request):
         seen[family] += 1
     assert {"lifted", "clone-clone", "clone-last_resort"} <= set(seen)
     assert ("clone-dummy" in seen) == any(g.dummies.values())
+
+
+def _explicit_edges(g):
+    """The edge set built pair by pair as the graph once stored it: the
+    lifted pairs, every clone pair over an unmatched real edge, every clone
+    with every dummy of its side, and each clone adjacent to last-resorts
+    with every last-resort of its owner, weighed by ``_family_and_weight``."""
+    inst, m = g.inst, g.leveled.matching
+    pairs = {g.canonical(u, w) for u, w in g.mstar.items()}
+    for a, b in inst.edges - m.pairs:
+        pairs.update(itertools.product(g.clones_of[a], g.clones_of[b]))
+    for v in inst.all_vertices():
+        over_lower = len(m.partners(v)) > inst.lower(v)
+        for c in g.clones_of[v]:
+            pairs.update(g.canonical(c, d) for d in g.dummies[v.side])
+            if over_lower or g.mstar[c].kind is CloneKind.LAST_RESORT:
+                pairs.update(g.canonical(c, r) for r in g.resorts_of[v])
+    return {(u, w): _family_and_weight(g, u, w)[1] for u, w in pairs}
+
+
+def test_implicit_edges_match_the_explicit_rule(
+    short_supply_graph, capacity_switch_graph, high_quota_graph, deficient_graph
+):
+    seen = Counter()
+    for g in (short_supply_graph, capacity_switch_graph, high_quota_graph, deficient_graph):
+        explicit = _explicit_edges(g)
+        assert len(g.edges) == len(explicit)
+        assert sorted(g.edges) == sorted(explicit)
+        assert dict(g.edges.items()) == explicit
+        assert all(g.canonical(u, w) in g.edges for u, w in g.mstar.items())
+        assert not any((w, u) in g.edges for u, w in explicit)
+
+        inst, m = g.inst, g.leveled.matching
+        lifted = set(g.mstar_by_edge.values())
+        for a, b in m.pairs:
+            for pair in itertools.product(g.clones_of[a], g.clones_of[b]):
+                if pair not in lifted:
+                    assert pair not in g.edges
+                    seen["matched, not lifted"] += 1
+        for a in inst.vertices(Side.A):
+            for b in inst.vertices(Side.B):
+                if (a, b) not in inst.edges and g.clones_of[a] and g.clones_of[b]:
+                    assert (g.clones_of[a][0], g.clones_of[b][0]) not in g.edges
+                    seen["not adjacent"] += 1
+        for v in inst.all_vertices():
+            for c in g.clones_of[v]:
+                if c not in g.lr_adjacent:
+                    for r in g.resorts_of[v]:
+                        assert g.canonical(c, r) not in g.edges
+                        seen["not lr-adjacent"] += 1
+    assert set(seen) == {"matched, not lifted", "not adjacent", "not lr-adjacent"}
+
+
+def test_a_vertex_without_capacity_certifies():
+    # b1 has upper quota 0, so its real edge to a1 stays unmatched and
+    # stands for no clone pair at all.
+    inst = parse_instance(
+        "A a1 0 1\nB b1 0 0\nB b2 0 1\nPREF a1 b1 b2\nPREF b1 a1\nPREF b2 a1\n"
+    )
+    leveled, _ = solve(inst)
+    g = build_cloned_graph(inst, leveled)
+    assert dict(g.edges.items()) == _explicit_edges(g)
+    cert = dual_assignment(g)
+    report = verify_certificate(g, cert)
+    assert report.ok
+    assert report == reference_verify(g, cert)
+
+
+def _wide_instance(seed):
+    """An instance shaped like the benchmark's wide workload: 30 + 30
+    vertices, a 27-regular bipartite edge set, upper quotas spread evenly
+    over 1..20, and lower quotas 1 and 3 dealt to one vertex each per side."""
+    rng = random.Random(seed)
+    n, degree, max_upper = 30, 27, 20
+    offsets = rng.sample(range(n), degree)
+    a_label, b_label = rng.sample(range(n), n), rng.sample(range(n), n)
+    edges = [(a_label[i], b_label[(i + k) % n]) for i in range(n) for k in offsets]
+
+    def quotas():
+        uppers = [1 + (max_upper - 1) * k // (n - 1) for k in range(n)]
+        rng.shuffle(uppers)
+        lowers = [0] * n
+        for lower in (1, 3):
+            free = [i for i in range(n) if lowers[i] == 0 and uppers[i] >= lower]
+            lowers[rng.choice(free)] = lower
+        return list(zip(lowers, uppers))
+
+    lines = [f"A a{i + 1} {lo} {up}" for i, (lo, up) in enumerate(quotas())]
+    lines += [f"B b{j + 1} {lo} {up}" for j, (lo, up) in enumerate(quotas())]
+    for prefix, other, ends in (("a", "b", edges), ("b", "a", [(j, i) for i, j in edges])):
+        for k in range(n):
+            names = [f"{other}{y + 1}" for x, y in ends if x == k]
+            rng.shuffle(names)
+            lines.append(" ".join([f"PREF {prefix}{k + 1}"] + names))
+    return parse_instance("\n".join(lines) + "\n")
+
+
+def test_wide_graph_counts_are_pinned():
+    # The benchmark reports len(g.edges) and len(g.vertices) as its
+    # clone_edges and clone_vertices counters; both are pinned at the
+    # values of the explicitly stored graph.
+    inst = _wide_instance(0)
+    leveled, _ = solve(inst)
+    g = build_cloned_graph(inst, leveled)
+    assert len(inst.edges) == 810
+    assert (len(g.edges), len(g.vertices)) == (37714, 1196)
 
 
 # -------------------------------------------------------------------- duals
@@ -391,6 +501,65 @@ def test_random_rival_lifts_realize_their_delta(seed):
         value = delta(inst, n, m, corr)
         assert clone_matching_weight(g, inst, nstar) == value
         assert value <= 0
+
+
+def _moves(steps):
+    """Up to two (kind, pick, step) moves of cloned-graph vertices."""
+    kinds = st.sampled_from([CloneKind.CLONE, CloneKind.DUMMY, CloneKind.LAST_RESORT])
+    return st.lists(st.tuples(kinds, st.integers(0, 10**6), steps), max_size=2)
+
+
+def _apply_moves(g, values, moves):
+    values = dict(values)
+    for kind, pick, step in moves:
+        of_kind = [u for u in g.vertices if u.kind is kind]
+        if of_kind:
+            values[of_kind[pick % len(of_kind)]] += step
+    return values
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    params=st.one_of(
+        st.sampled_from(["high_quota_graph", "deficient_graph"]),
+        st.builds(
+            GenParams,
+            n_a=st.integers(2, 6),
+            n_b=st.integers(2, 6),
+            max_upper=st.integers(1, 4),
+            lq_fraction=st.sampled_from([0.2, 0.5, 0.8]),
+            edge_density=st.sampled_from([0.3, 0.6, 0.9]),
+            seed=st.integers(0, 100_000),
+        ),
+    ),
+    alpha_moves=_moves(st.integers(-3, 1)),
+    level_moves=_moves(st.integers(-2, 2)),
+)
+# Each example fails exactly one per-block summary of some block: a
+# same-level true edge that weighs 2, and a one-level-down edge.
+@example(
+    params=GenParams(n_a=5, n_b=5, max_upper=1, lq_fraction=0.5, edge_density=0.9, seed=63691),
+    alpha_moves=[],
+    level_moves=[(CloneKind.CLONE, 4, 1)],
+)
+@example(params="deficient_graph", alpha_moves=[], level_moves=[(CloneKind.CLONE, 0, 2)])
+def test_block_checks_match_the_pair_by_pair_reference(
+    high_quota_graph, deficient_graph, params, alpha_moves, level_moves
+):
+    # Moving alpha reaches the edge inequalities, tightness and the
+    # last-resort and sum checks; moving levels reaches the level checks,
+    # which alpha does not touch.
+    if params == "high_quota_graph":
+        g = high_quota_graph
+    elif params == "deficient_graph":
+        g = deficient_graph
+    else:
+        inst = generate_random_instance(params)
+        assume(inst.edges)
+        g = build_cloned_graph(inst, solve(inst)[0])
+    cert = DualCertificate(_apply_moves(g, dual_assignment(g).alpha, alpha_moves))
+    g = dataclasses.replace(g, level=_apply_moves(g, g.level, level_moves))
+    assert verify_certificate(g, cert) == reference_verify(g, cert)
 
 
 def test_lift_realizes_delta_at_high_quotas(high_quota_graph):
