@@ -20,8 +20,11 @@ the receiver's worst partner when it is full.  Each proposal is appended
 to one flat ``array`` of ints, ``_WIDTH`` per row; the row stores no quota,
 only what the quotas are read from (the level, and whether the receiver
 offered its lower or its upper quota).  ``Trace.events`` decodes that
-record into ``ProposalEvent``s on first access, and ``trace_to_csv``
-renders it directly.  The trace is deterministic: equal instances give
+record into ``ProposalEvent``s on first access.  ``trace_to_csv`` renders
+it in bulk, without decoding it: it quotes each name once per call into
+per-vertex cell tables, then walks the record in blocks of ``_CHUNK`` rows,
+taking each column of a block as one strided slice and joining one
+f-string per row.  The trace is deterministic: equal instances give
 byte-identical trace CSVs.
 """
 
@@ -33,7 +36,8 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Optional
+from types import SimpleNamespace
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .matchings import Matching
 from .model import Instance, Side, VertexId
@@ -95,30 +99,24 @@ class Trace:
 
     @cached_property
     def events(self) -> tuple[ProposalEvent, ...]:
-        """The record as ProposalEvents, decoded on first access."""
-        a_ids = list(self.inst.vertices(Side.A))
-        b_ids = list(self.inst.vertices(Side.B))
+        """The record as ProposalEvents, decoded on first access.  The
+        proposer offers its upper quota through level t + 1 and its lower
+        quota above; the receiver offers whichever quota its flag indexes
+        in its (lower, upper) ``Quotas`` pair."""
+        inst = self.inst
+        a_ids = list(inst.vertices(Side.A))
+        b_ids = list(inst.vertices(Side.B))
+        t = inst.sum_lower(Side.B)
+        a_quotas, b_quotas = inst.a_quotas, inst.b_quotas
+        it = iter(self.record)
         return tuple(
             ProposalEvent(
-                a_ids[a], level, c_a, b_ids[b], c_b,
+                a_ids[a], level, a_quotas[a][level <= t + 1],
+                b_ids[b], b_quotas[b][b_upper],
                 None if rej < 0 else (a_ids[rej], rej_level), size,
             )
-            for a, level, c_a, b, c_b, rej, rej_level, size in _rows(self)
+            for a, level, b, b_upper, rej, rej_level, size in zip(*[it] * _WIDTH)
         )
-
-
-def _rows(trace: Trace) -> Iterator[tuple[int, ...]]:
-    """The record's rows with both capacities filled in: the proposer
-    offers its upper quota through level t + 1 and its lower quota above,
-    the receiver whichever quota its flag indexes in its (lower, upper)
-    ``Quotas`` pair."""
-    inst = trace.inst
-    t = inst.sum_lower(Side.B)
-    a_quotas, b_quotas = inst.a_quotas, inst.b_quotas
-    it = iter(trace.record)
-    for a, level, b, b_upper, rej, rej_level, size in zip(*[it] * _WIDTH):
-        c_a = a_quotas[a].upper if level <= t + 1 else a_quotas[a].lower
-        yield a, level, c_a, b, b_quotas[b][b_upper], rej, rej_level, size
 
 
 def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
@@ -150,9 +148,10 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
     size = 0
     max_level = [0] * n_a
     # A queued copy (a, level) is the int level * n_a + a, which also keys
-    # the cursor into a's list at that level.
-    queue = deque(range(n_a))
-    queued = bytearray(b"\x01" * n_a)
+    # the cursor into a's list at that level.  A vertex without capacity
+    # never proposes.
+    queue = deque(a for a in range(n_a) if a_upper[a] > 0)
+    queued = bytearray(a_upper[a] > 0 for a in range(n_a))
     cursors: dict[int, int] = {}
     record = array("q")
     count = 0
@@ -190,7 +189,7 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
                 size += 1
                 if level < t:
                     b_low[b] += 1
-            elif len(held) == q_b:
+            elif len(held) == q_b > 0:
                 # b's least preferred copy: lowest level first, then worst
                 # position in b's own order.
                 rank = b_rank[b]
@@ -215,8 +214,8 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
                 else:
                     rej, rej_level = a, level
             else:
-                # b is already above this proposal's capacity (its capacity
-                # shrank since those partners were accepted).
+                # b has no capacity, or is already above this proposal's
+                # capacity (it shrank since those partners were accepted).
                 rej, rej_level = a, level
             q_a = a_upper[a] if level <= t + 1 else a_lower[a]
             if len(mine) < q_a and not queued[a]:
@@ -315,22 +314,68 @@ def check_output_properties(inst: Instance, leveled: LeveledMatching) -> list[st
 _CSV_COLUMNS = ["seq", "a", "level", "c_a", "b", "c_b", "rejected", "matching_size"]
 
 
+def _csv_cells(names: Iterable[str]) -> list[str]:
+    """Each name as ``csv.writer`` writes it inside a row of several fields
+    (a lone empty field would be written as ``""``).  ``writerow`` returns
+    what the file's ``write`` returns, so ``str`` as ``write`` hands the
+    formatted row back."""
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    return [writer.writerow((name, ""))[:-2] for name in names]
+
+
+# Rows per block of trace_to_csv: enough to amortise a block's slices,
+# few enough that its row strings stay small next to the output.
+_CHUNK = 8192
+
+
 def trace_to_csv(inst: Instance, trace: Trace) -> str:
-    """Render a trace as CSV with one row per proposal."""
-    a_names, b_names = inst.a_names, inst.b_names
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    writer.writerows(
-        (
-            seq, a_names[a], level, c_a, b_names[b], c_b,
-            "-" if rej < 0 else f"{a_names[rej]}^{rej_level}", size,
-        )
-        for seq, (a, level, c_a, b, c_b, rej, rej_level, size) in enumerate(
-            _rows(trace), start=1
-        )
-    )
-    return buf.getvalue()
+    """Render a trace as CSV with one row per proposal, byte for byte as
+    ``csv.writer`` would write the rows.
+
+    Each name is quoted once per call, by ``csv.writer`` itself, into cell
+    tables: per A vertex its name and ``,c_a,`` for either quota, per
+    receiver and quota flag ``name,c_b,``, and per A vertex a prefix and a
+    suffix around the level of a rejected copy ``name^level`` (``^`` and
+    digits never change the quoting decision).  The record is then walked
+    in blocks of ``_CHUNK`` rows; each column of a block is one strided
+    slice of the record, the ``rejected`` column is built first, and each
+    row is one f-string over the tables.
+    """
+    t = inst.sum_lower(Side.B)
+    a_cells = _csv_cells(inst.a_names)
+    # Indexed by ``level > t + 1``: the upper quota through level t + 1.
+    c_a_cells = [(f",{q.upper},", f",{q.lower},") for q in inst.a_quotas]
+    # Indexed by the record's flag, like the (lower, upper) Quotas pair.
+    b_cells = [
+        (f"{name},{q.lower},", f"{name},{q.upper},")
+        for name, q in zip(_csv_cells(inst.b_names), inst.b_quotas)
+    ]
+    carets = [f"{name}^" for name in inst.a_names]
+    rej_prefix, rej_suffix = [], []
+    for bare, cell in zip(carets, _csv_cells(carets)):
+        quoted = cell != bare
+        rej_prefix.append(cell[:-1] if quoted else cell)
+        rej_suffix.append('"' if quoted else "")
+
+    rec = trace.record
+    step = _CHUNK * _WIDTH
+    out = [",".join(_CSV_COLUMNS) + "\n"]
+    for lo in range(0, len(rec), step):
+        hi = lo + step
+        rejected = [
+            "-" if rej < 0 else f"{rej_prefix[rej]}{rej_level}{rej_suffix[rej]}"
+            for rej, rej_level in zip(rec[lo + 4:hi:_WIDTH], rec[lo + 5:hi:_WIDTH])
+        ]
+        out.append("".join([
+            f"{seq},{a_cells[a]},{level}{c_a_cells[a][level > t + 1]}"
+            f"{b_cells[b][b_upper]}{rej},{size}\n"
+            for seq, a, level, b, b_upper, rej, size in zip(
+                range(lo // _WIDTH + 1, hi // _WIDTH + 1),
+                rec[lo:hi:_WIDTH], rec[lo + 1:hi:_WIDTH], rec[lo + 2:hi:_WIDTH],
+                rec[lo + 3:hi:_WIDTH], rejected, rec[lo + 6:hi:_WIDTH],
+            )
+        ]))
+    return "".join(out)
 
 
 def read_trace_csv(text: str) -> list[list[str]]:

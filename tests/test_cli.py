@@ -219,3 +219,20 @@ def test_solve_traces_a_quota_beyond_64_bits(tmp_path, capsys):
         "1,a1,0,100000000000000000000,b1,1,-,1\n"
         "2,a1,1,100000000000000000000,b1,1,-,1\n"
     )
+
+
+# An A vertex and a B vertex without capacity; each once crashed the solver.
+ZERO_UPPER_QUOTA = [
+    "A a1 0 0\nA a2 0 1\nB b1 0 1\nPREF a1 b1\nPREF a2 b1\nPREF b1 a1 a2\n",
+    "A a1 1 1\nB b1 0 0\nPREF a1 b1\nPREF b1 a1\n",
+]
+
+
+@pytest.mark.parametrize("text", ZERO_UPPER_QUOTA, ids=["side_a", "side_b"])
+def test_vertex_with_upper_quota_zero_solves_and_certifies(text, tmp_path, capsys):
+    path, cert = tmp_path / "zero.inst", tmp_path / "cert.txt"
+    path.write_text(text)
+    assert main(["solve", str(path), "--emit-certificate", str(cert)]) == 0
+    assert "VERDICT PASS" in cert.read_text().splitlines()
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("\nPASS\n")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,9 +11,13 @@ from hypothesis import strategies as st
 from popcrit import (
     GenParams,
     Matching,
+    Quotas,
     Side,
+    build_cloned_graph,
+    check_output_properties,
     critical_set,
     deficiency,
+    dual_assignment,
     enumerate_matchings,
     generate_random_instance,
     is_popular_among,
@@ -20,6 +26,7 @@ from popcrit import (
     parse_instance,
     parse_matching,
     solve,
+    verify_certificate,
 )
 
 from conftest import DATA
@@ -149,3 +156,33 @@ def test_solver_lands_inside_the_oracle_answer(seed):
     assert d.total == result.min_deficiency
     assert leveled.matching in result.popular_critical
     assert leveled.matching.size == result.max_popular_size
+
+
+def test_solver_lands_inside_the_oracle_answer_with_zero_quotas():
+    # generate_random_instance draws upper quotas from 1 up; here about
+    # 30% of the vertices get none.
+    checked = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        inst = generate_random_instance(
+            GenParams(n_a=4, n_b=4, max_upper=2, edge_density=0.5, seed=seed)
+        )
+        if not 1 <= len(inst.edges) <= 10:
+            continue
+        inst = dataclasses.replace(
+            inst,
+            a_quotas=tuple(Quotas(0, 0) if rng.random() < 0.3 else q for q in inst.a_quotas),
+            b_quotas=tuple(Quotas(0, 0) if rng.random() < 0.3 else q for q in inst.b_quotas),
+        )
+        leveled, trace = solve(inst)
+        result = oracle_solve(inst)
+        assert deficiency(inst, leveled.matching).total == result.min_deficiency
+        assert leveled.matching in result.popular_critical
+        assert leveled.matching.size == result.max_popular_size
+        assert check_output_properties(inst, leveled) == []
+        s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
+        assert trace.proposal_count <= (s + t + 2) * len(inst.edges)
+        g = build_cloned_graph(inst, leveled)
+        assert verify_certificate(g, dual_assignment(g)).ok
+        checked += 1
+    assert checked >= 200

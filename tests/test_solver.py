@@ -27,6 +27,7 @@ from popcrit import (
 
 import popcrit.solver
 from conftest import DATA, run_python
+from reference_trace_csv import reference_trace_csv
 from trace_checker import OUTCOMES, check_trace
 
 A = lambda i: VertexId(Side.A, i)
@@ -262,6 +263,50 @@ def test_trace_round_trip(capacity_switch):
     assert read_trace_csv(text) == rows
     with pytest.raises(ValueError, match="header"):
         read_trace_csv("seq,a,b\n1,x,y\n")
+
+
+# Names csv.writer must quote (a comma, a quote, a line break) or leaves
+# bare although they look special (empty, a caret, spaces).
+AWKWARD_NAMES = ("", "x,", 'x"', "x^", '"', ",", "x\ny", "x\r", " x ", '^",', "x^1")
+
+
+def with_awkward_names(inst: Instance) -> Instance:
+    def rename(names, prefix):
+        return tuple(
+            AWKWARD_NAMES[i] if i < len(AWKWARD_NAMES) else f"{prefix}{i}"
+            for i in range(len(names))
+        )
+
+    return dataclasses.replace(
+        inst, a_names=rename(inst.a_names, "a"), b_names=rename(inst.b_names, "b")
+    )
+
+
+def test_trace_csv_matches_the_row_by_row_reference(short_supply, one_post, capacity_switch):
+    instances = [short_supply, one_post, capacity_switch, parse_instance(SHRUNK)]
+    instances += [
+        generate_random_instance(GenParams(n_a=n, n_b=n + 1, max_upper=3, seed=seed))
+        for seed, n in enumerate([1, 2, 3, 4, 6, 8, 10, 12] * 5)
+    ]
+    instances += [parse_instance("A a1 1 2\nB b1 1 1\nPREF a1\nPREF b1")]
+    quoted_rejections = 0
+    for inst in instances:
+        for named in (inst, with_awkward_names(inst)):
+            trace = solve(named)[1]
+            text = trace_to_csv(named, trace)
+            assert text == reference_trace_csv(named, trace)
+            quoted_rejections += text.count(',"x,^')
+    # A rejected copy of a name that needs quoting was rendered.
+    assert quoted_rejections > 0
+
+
+def test_trace_csv_longer_than_two_blocks_matches_the_reference():
+    params = GenParams(n_a=50, n_b=50, edge_density=0.3, seed=1)
+    inst = with_awkward_names(generate_random_instance(params))
+    trace = solve(inst)[1]
+    assert trace.proposal_count > 2 * popcrit.solver._CHUNK
+    assert trace.proposal_count % popcrit.solver._CHUNK != 0
+    assert trace_to_csv(inst, trace) == reference_trace_csv(inst, trace)
 
 
 def test_matching_size_moves_by_one_edge_per_proposal():
