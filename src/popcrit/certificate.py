@@ -9,8 +9,9 @@ covers every dummy.  Edge weights on the cloned graph encode the votes a
 pair of vertices would cast for using that edge instead of keeping their
 current partners, so any rival matching mapped onto the clones has total
 weight equal to its vote advantage.  The weights depend only on the lift,
-so the graph stores only the lifted pairs: every other edge, and its
-weight, follows from a rank per clone and the unmatched real edges (see
+so the graph keeps no pair apart from the lift: every other edge lies in
+one block of a table, a product of two groups of vertices each offered
+one rank, and its weight is the two ends' votes for those ranks (see
 ``CloneEdges``).  Each real edge (a, b) stands for upper(a)·upper(b) clone
 pairs, and all of them are checked at once.
 
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import sub
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Collection, Iterator, Mapping, NamedTuple, Optional
 
 from .matchings import (
     Correspondence,
@@ -63,7 +64,7 @@ _NO_OWNER = -1
 # Module-level aliases of the enum members that _left_of_bipartition and
 # the edge rule compare with: looking up an enum member through its class
 # costs about 165 ns on Python 3.11, and both run for many edges.
-_CLONE, _LAST_RESORT = CloneKind.CLONE, CloneKind.LAST_RESORT
+_CLONE, _DUMMY = CloneKind.CLONE, CloneKind.DUMMY
 _SIDE_A, _SIDE_B = Side.A, Side.B
 
 
@@ -82,17 +83,41 @@ def _canonical(u: CloneId, w: CloneId) -> CloneEdge:
     return (u, w) if _left_of_bipartition(u) else (w, u)
 
 
-# The rank of an artificial lifted partner: every real partner beats it.
+# The rank of an artificial partner, held or offered: every real partner
+# beats it.
 _UNRANKED = math.inf
+
+
+def _vote(held: float, offered: float) -> int:
+    """A vertex's vote for a partner of rank ``offered`` against the one of
+    rank ``held`` it has in the lift: 1 for the better, -1 for the worse,
+    0 when neither is real."""
+    return (offered < held) - (held < offered)
+
+
+def _block_key(u: CloneId, w: CloneId) -> tuple:
+    """The table key of the block that would hold the edge (u, w): the
+    kind, side and owner of each end.  A side has one clone–dummy block, so
+    next to a dummy no owner is kept."""
+    if u.kind is _DUMMY or w.kind is _DUMMY:
+        return u.kind, u.side, w.kind, w.side
+    return u.kind, u.side, u.owner, w.kind, w.side, w.owner
+
+
+# One block of the table, (left, left_offer, right, right_offer): the edges
+# left × right.  Each side maps its members to the rank they hold in the
+# lift, and offers all of them one rank: the real partner's, or _UNRANKED.
+# A plain tuple: a NamedTuple costs about 0.6 µs more to make on Python 3.11.
+_Entry = tuple[dict[CloneId, float], float, dict[CloneId, float], float]
 
 
 class Block(NamedTuple):
     """The edges left × right, each of canonical orientation.  The pair
     (left[i], right[j]) weighs left_terms[i] + right_terms[j]."""
 
-    left: tuple[CloneId, ...]
+    left: Collection[CloneId]
     left_terms: list[int]
-    right: tuple[CloneId, ...]
+    right: Collection[CloneId]
     right_terms: list[int]
     # Set on clone–clone blocks, whose pairs are true edges.
     true_edges: bool
@@ -102,172 +127,75 @@ class CloneEdges(Mapping[CloneEdge, int]):
     """The edges of a cloned graph, each canonical edge (A-side partition
     first) mapped to its weight.
 
-    Only the lifted pairs are stored, each at weight 0.  Every other edge
-    follows from the lift, and its weight is the sum of two terms:
+    The lifted clone–clone pairs, one per matched real edge, weigh 0 and
+    are read from the lift.  Every other edge lies in one block of a table
+    built with the graph:
 
-    - Clone–clone: (ai, bj) is an edge when (a, b) is an unmatched real
-      edge.  Its weight is vote(a, b, p(ai)) + vote(b, a, p(bj)), where
-      p(x) is the owner of x's lifted partner.  Each vote is one rank
-      comparison against ``partner_rank``.
-    - Clone–dummy: every clone is joined to every dummy of its side.
-    - Clone–last-resort: a clone in ``lr_adjacent`` is joined to every
-      last-resort of its owner.
-    - An artificial edge weighs -1 when the clone gives up a real lifted
-      partner, else 0.
+    - one per unmatched real edge (a, b): a's clones × b's clones, a
+      offering b's rank and b offering a's;
+    - one per side: its clones × its dummies;
+    - one per vertex: its last-resort-adjacent clones × its last-resorts.
 
-    Iteration yields the lifted pairs, then the other edges block by block
-    (see ``blocks``).  ``len`` is counted when the mapping is built.
+    The artificial blocks offer _UNRANKED on both sides, and include their
+    lifted pairs.  A pair weighs the sum of its two ends' votes for what
+    the block offers against what they hold (``_vote``): a clone gives up a
+    real partner at -1, and a dummy or last-resort votes 0.
+
+    Iteration yields the lifted clone–clone pairs, then the table block by
+    block (see ``blocks``).  ``len`` is counted when the mapping is built.
     """
 
-    __slots__ = (
-        "lifted", "partner_rank", "unmatched", "lr_adjacent",
-        "_clones_of", "_clones_by_index", "_resorts_of", "_dummies", "_artificial",
-        "_size",
-    )
+    __slots__ = ("_mstar", "_table", "_size")
 
     def __init__(
-        self,
-        lifted: dict[CloneEdge, int],
-        partner_rank: dict[CloneId, float],
-        unmatched: dict[tuple[int, int], tuple[int, int]],
-        lr_adjacent: frozenset[CloneId],
-        clones_of: Mapping[VertexId, tuple[CloneId, ...]],
-        resorts_of: Mapping[VertexId, tuple[CloneId, ...]],
-        dummies: Mapping[Side, tuple[CloneId, ...]],
+        self, mstar: Mapping[CloneId, CloneId], table: dict[tuple, _Entry]
     ) -> None:
-        # The lifted pairs, each at weight 0.
-        self.lifted = lifted
-        # Each clone's rank of its lifted real partner, or _UNRANKED.
-        self.partner_rank = partner_rank
-        # (a.index, b.index) of each unmatched real edge (a, b), in sorted
-        # order, mapped to (a's rank of b, b's rank of a).
-        self.unmatched = unmatched
-        self.lr_adjacent = lr_adjacent
-        self._clones_of = clones_of
-        # Each side's clones by owner index.
-        self._clones_by_index = tuple(
-            {v.index: cs for v, cs in clones_of.items() if v.side is side}
-            for side in (_SIDE_A, _SIDE_B)
-        )
-        self._resorts_of = resorts_of
-        self._dummies = dummies
-        self._artificial = frozenset(
-            [r for rs in resorts_of.values() for r in rs]
-            + [d for ds in dummies.values() for d in ds]
-        )
-        lifted_clone_pairs = sum(
-            1 for u, w in lifted if u.kind is _CLONE and w.kind is _CLONE
-        )
-        self._size = lifted_clone_pairs + sum(
-            len(left) * len(right) for left, right, _ in self._products()
+        self._mstar = mstar
+        self._table = table
+        self._size = sum(1 for _ in self._lifted_clone_pairs()) + sum(
+            len(left) * len(right) for left, _, right, _ in table.values()
         )
 
-    def _products(
-        self,
-    ) -> Iterator[tuple[tuple[CloneId, ...], tuple[CloneId, ...], Optional[tuple[int, int]]]]:
-        """The edges outside the lifted clone–clone pairs as products
-        left × right of canonical edges, each with the ranks of its real
-        edge, or None for an artificial block.  The artificial blocks
-        include their lifted pairs."""
-        clones_of, resorts_of = self._clones_of, self._resorts_of
-        a_clones, b_clones = self._clones_by_index
-        for (i, j), ranks in self.unmatched.items():
-            # A vertex of upper quota 0 has no clones.
-            if a_clones[i] and b_clones[j]:
-                yield a_clones[i], b_clones[j], ranks
-        for side in (_SIDE_A, _SIDE_B):
-            dummies = self._dummies[side]
-            if dummies:
-                clones = tuple(
-                    c for v, cs in clones_of.items() if v.side is side for c in cs
-                )
-                yield (clones, dummies, None) if side is _SIDE_A else (dummies, clones, None)
-        for v, resorts in resorts_of.items():
-            adjacent = tuple(c for c in clones_of[v] if c in self.lr_adjacent)
-            if adjacent and resorts:
-                yield (adjacent, resorts, None) if v.side is _SIDE_A else (resorts, adjacent, None)
+    def _lifted_clone_pairs(self) -> Iterator[CloneEdge]:
+        for u, w in self._mstar.items():
+            if u.kind is _CLONE and w.kind is _CLONE and u.side is _SIDE_A:
+                yield u, w
 
     def blocks(self) -> Iterator[Block]:
-        """Every edge outside the lifted pairs, once, as blocks.
-
-        There is one block per unmatched real edge, one clone–dummy block
-        per side and one clone–last-resort block per vertex.  The
-        artificial blocks also contain their lifted pairs, which callers
-        skip.
-        """
-        rank = self.partner_rank
-        for left, right, ranks in self._products():
-            if ranks is None:
-                # A clone's term is its cost of leaving its lifted partner;
-                # dummies and last-resorts have no rank and add nothing.
-                yield Block(
-                    left,
-                    [-1 if rank.get(u, _UNRANKED) < _UNRANKED else 0 for u in left],
-                    right,
-                    [-1 if rank.get(w, _UNRANKED) < _UNRANKED else 0 for w in right],
-                    False,
-                )
-            else:
-                ra, rb = ranks
-                yield Block(
-                    left,
-                    [1 if ra < p else -1 for p in map(rank.__getitem__, left)],
-                    right,
-                    [1 if rb < p else -1 for p in map(rank.__getitem__, right)],
-                    True,
-                )
-
-    def _implicit_weight(self, e: CloneEdge) -> Optional[int]:
-        """The weight of e by the rule, or None when e is not an edge;
-        lifted clone–clone pairs are left to ``lifted``."""
-        u, w = e
-        rank = self.partner_rank
-        if u.kind is _CLONE and w.kind is _CLONE:
-            if u.side is not _SIDE_A or w.side is not _SIDE_B:
-                return None
-            ranks = self.unmatched.get((u.owner, w.owner))
-            ru, rw = rank.get(u), rank.get(w)
-            if ranks is None or ru is None or rw is None:
-                return None
-            return (1 if ranks[0] < ru else -1) + (1 if ranks[1] < rw else -1)
-        if u.kind is _CLONE:
-            clone, other, side = u, w, _SIDE_A
-        elif w.kind is _CLONE:
-            clone, other, side = w, u, _SIDE_B
-        else:
-            return None
-        r = rank.get(clone)
-        if (
-            r is None
-            or clone.side is not side
-            or other.side is not side
-            or other not in self._artificial
-        ):
-            return None
-        if other.kind is _LAST_RESORT and (
-            other.owner != clone.owner or clone not in self.lr_adjacent
-        ):
-            return None
-        return -1 if r < _UNRANKED else 0
+        """Every edge outside the lifted clone–clone pairs, once, as
+        blocks.  The artificial blocks also contain their lifted pairs,
+        which callers skip."""
+        for left, left_offer, right, right_offer in self._table.values():
+            yield Block(
+                left,
+                [_vote(held, left_offer) for held in left.values()],
+                right,
+                [_vote(held, right_offer) for held in right.values()],
+                # Only a real edge's block offers real ranks.
+                left_offer < _UNRANKED,
+            )
 
     def __getitem__(self, e: CloneEdge) -> int:
-        wt = self.lifted.get(e)
-        if wt is None:
-            wt = self._implicit_weight(e)
-            if wt is None:
-                raise KeyError(e)
-        return wt
-
-    def __contains__(self, e: object) -> bool:
-        return e in self.lifted or self._implicit_weight(e) is not None
+        try:
+            u, w = e
+        except (TypeError, ValueError):
+            raise KeyError(e) from None
+        if not (isinstance(u, CloneId) and isinstance(w, CloneId)):
+            raise KeyError(e)
+        if self._mstar.get(u) == w and _left_of_bipartition(u):
+            return 0
+        try:
+            left, left_offer, right, right_offer = self._table[_block_key(u, w)]
+            return _vote(left[u], left_offer) + _vote(right[w], right_offer)
+        except KeyError:
+            raise KeyError(e) from None
 
     def __iter__(self) -> Iterator[CloneEdge]:
-        yield from self.lifted
-        for left, right, _ in self._products():
+        yield from self._lifted_clone_pairs()
+        for left, _, right, _ in self._table.values():
             for u in left:
                 for w in right:
-                    if (u, w) not in self.lifted:
-                        yield u, w
+                    yield u, w
 
     def __len__(self) -> int:
         return self._size
@@ -278,8 +206,8 @@ class ClonedGraph:
     """The cloned graph of one leveled matching, with its lift ``mstar``.
 
     ``edges`` maps each canonical edge (A-side partition first) to its
-    weight.  It stores only the lifted pairs and answers every other edge
-    from per-clone tables (see ``CloneEdges``).
+    weight.  It reads the lifted pairs from ``mstar`` and every other edge
+    from one table of blocks (see ``CloneEdges``).
     """
 
     inst: Instance
@@ -356,7 +284,9 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     mstar: dict[CloneId, CloneId] = {}
     level: dict[CloneId, int] = {}
     mstar_by_edge: dict[Edge, CloneEdge] = {}
-    partner_rank = {c: _UNRANKED for cs in clones_of.values() for c in cs}
+    # Each vertex's clones, each with the rank of its lifted real partner
+    # or _UNRANKED.  The table's blocks share these dicts.
+    holding = {v: dict.fromkeys(cs, _UNRANKED) for v, cs in clones_of.items()}
     free_clones = {v: iter(clones_of[v]) for v in inst.all_vertices()}
 
     def bond(u: CloneId, w: CloneId, x: int) -> None:
@@ -368,8 +298,8 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         ai, bj = next(free_clones[a]), next(free_clones[b])
         mstar_by_edge[(a, b)] = (ai, bj)
         bond(ai, bj, leveled.levels[(a, b)])
-        partner_rank[ai] = inst.rank(a, b)
-        partner_rank[bj] = inst.rank(b, a)
+        holding[a][ai] = inst.rank(a, b)
+        holding[b][bj] = inst.rank(b, a)
 
     for side, dummy_level in ((Side.A, top), (Side.B, 0)):
         pool = iter(dummies[side])
@@ -400,18 +330,39 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
                 c for c in clones_of[v] if mstar[c].kind is CloneKind.LAST_RESORT
             )
 
-    edges = CloneEdges(
-        lifted={_canonical(u, w): 0 for u, w in mstar.items()},
-        partner_rank=partner_rank,
-        unmatched={
-            (a.index, b.index): (inst.rank(a, b), inst.rank(b, a))
-            for a, b in sorted(inst.edges - m.pairs)
-        },
-        lr_adjacent=frozenset(lr_adjacent),
-        clones_of=clones_of,
-        resorts_of=resorts_of,
-        dummies=dummies,
-    )
+    table: dict[tuple, _Entry] = {}
+
+    def join(
+        left: dict[CloneId, float], left_offer: float,
+        right: dict[CloneId, float], right_offer: float,
+    ) -> None:
+        # A vertex of upper quota 0 has no clones, and a side or a vertex
+        # may have no dummies or last-resorts.
+        if left and right:
+            key = _block_key(next(iter(left)), next(iter(right)))
+            table[key] = (left, left_offer, right, right_offer)
+
+    def join_artificial(
+        side: Side, clones: dict[CloneId, float], others: tuple[CloneId, ...]
+    ) -> None:
+        # Dummies and last-resorts hold and offer no rank.
+        ends = (clones, _UNRANKED, dict.fromkeys(others, _UNRANKED), _UNRANKED)
+        if side is Side.B:
+            ends = ends[2:] + ends[:2]
+        join(*ends)
+
+    # Real edges in a's preference order, so that a's rank of b is the
+    # position and nothing needs sorting.
+    for a in inst.vertices(Side.A):
+        for rank, b in enumerate(inst.pref(a)):
+            if (a, b) not in m.pairs:
+                join(holding[a], rank, holding[b], inst.rank(b, a))
+    for side in (Side.A, Side.B):
+        clones = {c: r for v in inst.vertices(side) for c, r in holding[v].items()}
+        join_artificial(side, clones, dummies[side])
+    for v in inst.all_vertices():
+        adjacent = {c: r for c, r in holding[v].items() if c in lr_adjacent}
+        join_artificial(v.side, adjacent, resorts_of[v])
 
     vertices = (
         [c for v in inst.all_vertices() for c in clones_of[v]]
@@ -425,11 +376,11 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         s=s,
         t=t,
         vertices=tuple(vertices),
-        edges=edges,
+        edges=CloneEdges(mstar, table),
         mstar=mstar,
         mstar_by_edge=mstar_by_edge,
         level=level,
-        lr_adjacent=edges.lr_adjacent,
+        lr_adjacent=frozenset(lr_adjacent),
         dummies=dummies,
         clones_of=clones_of,
         resorts_of=resorts_of,
@@ -440,13 +391,16 @@ def edge_weight(g: ClonedGraph, inst: Instance, e: CloneEdge) -> int:
     """Combined vote of the edge's endpoints for each other, against their
     lifted partners, as ``g.edges`` gives it.
 
-    ``inst`` is not read: the weights come from g.  Raises ValueError for
-    edges outside the graph.
+    ``inst`` is not read: the weights come from g.  Either orientation of
+    an edge is accepted.  Raises ValueError for pairs outside the graph.
     """
-    try:
-        return g.edges[_canonical(*e)]
-    except KeyError:
-        raise ValueError("edge not present in the cloned graph") from None
+    u, w = e
+    wt = g.edges.get((u, w))
+    if wt is None:
+        wt = g.edges.get((w, u))
+        if wt is None:
+            raise ValueError("edge not present in the cloned graph")
+    return wt
 
 
 @dataclass(frozen=True)
@@ -609,14 +563,15 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
                 f"{alpha[u] + alpha[w]} != {wt}",
             )
 
-    lifted = g.edges.lifted
-    for (u, w), wt in lifted.items():
-        check_edge(u, w, wt)
+    mstar = g.mstar
+    for u, w in mstar.items():
+        if _left_of_bipartition(u):
+            check_edge(u, w, 0)
     for block in g.edges.blocks():
         if not _block_holds(block, alpha, g.level):
             for u, f in zip(block.left, block.left_terms):
                 for w, h in zip(block.right, block.right_terms):
-                    if (u, w) not in lifted:
+                    if mstar.get(u) != w:
                         check_edge(u, w, f + h)
     edge_failures.sort(key=lambda failure: failure[0])
     for _, check, message in edge_failures:

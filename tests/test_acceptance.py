@@ -4,7 +4,8 @@ One test per shipped guarantee: exact values on the three reference
 fixtures, then certificate, oracle-agreement, lift-weight, proposal-budget
 and side-minima sweeps over a deterministic family of 500 seeded random
 instances small enough for exhaustive enumeration, and last a certificate
-check on one instance far beyond the reach of enumeration.
+check and three rival audits on one instance far beyond the reach of
+enumeration.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ from popcrit import (
     map_matching_to_clones,
     max_delta,
     oracle_solve,
+    parse_instance,
     parse_matching,
     random_correspondence,
+    serialize_instance,
+    serialize_matching,
     solve,
     verify_certificate,
 )
@@ -212,3 +216,27 @@ def test_9_certificate_holds_at_scale():
     assert check_output_properties(inst, leveled) == []
     s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
     assert trace.proposal_count <= (s + t + 2) * len(inst.edges)
+
+    # Critical rivals, made as the benchmark's audit makes them: the
+    # solver's matching under reshuffled preference orders, which keeps
+    # the edges and quotas and so the minimum deficiency.
+    m = leveled.matching
+    rng = random.Random(9)
+    for _ in range(3):
+        n = parse_matching(inst, serialize_matching(*_reshuffled(inst, rng)))
+        assert max_delta(inst, m, n) <= 0
+        corr = random_correspondence(inst, n, m, rng)
+        nstar = map_matching_to_clones(g, inst, n, corr)
+        assert clone_matching_weight(g, inst, nstar) == delta(inst, n, m, corr)
+
+
+def _reshuffled(inst, rng):
+    """inst with every preference order shuffled, and its solver matching."""
+    lines = serialize_instance(inst).splitlines()
+    for k, line in enumerate(lines):
+        if line.startswith("PREF "):
+            _, name, *partners = line.split()
+            rng.shuffle(partners)
+            lines[k] = " ".join(["PREF", name, *partners])
+    rival = parse_instance("\n".join(lines) + "\n")
+    return rival, solve(rival)[0].matching

@@ -37,6 +37,7 @@ from popcrit import (
 )
 
 from conftest import DATA, all_correspondences, run_python
+from reference_assignment import max_covering_weight
 from reference_verifier import reference_verify
 
 
@@ -169,6 +170,34 @@ def test_edge_weight_rejects_non_edges(short_supply_graph, short_supply):
     with pytest.raises(ValueError, match="not present"):
         # a3-b1 is not an edge of the instance
         edge_weight(short_supply_graph, short_supply, (_clone(Side.A, 2, 1), _clone(Side.B, 0, 1)))
+
+
+def _non_edge(g, name):
+    if name == "reversed real edge":
+        inst, m = g.inst, g.leveled.matching
+        a, b = next(
+            (a, b) for a, b in sorted(inst.edges - m.pairs) if g.clones_of[a] and g.clones_of[b]
+        )
+        return g.clones_of[b][0], g.clones_of[a][0]
+    if name == "dummy pair":
+        return g.dummies[Side.B][0], g.dummies[Side.A][0]
+    return {"None": None, "string": "ab", "int pair": (1, 2)}[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["None", "string", "int pair", "reversed real edge", "dummy pair"]
+)
+def test_non_edges_are_absent_from_the_mapping(deficient_graph, name):
+    g = deficient_graph
+    key = _non_edge(g, name)
+    assert key not in g.edges
+    assert g.edges.get(key) is None
+    if name == "reversed real edge":
+        # edge_weight takes either orientation of an edge.
+        assert edge_weight(g, g.inst, key) == g.edges[key[::-1]]
+    elif name != "None":
+        with pytest.raises(ValueError, match="not present"):
+            edge_weight(g, g.inst, key)
 
 
 def _recomputed_weight(g, inst, u, w):
@@ -337,6 +366,23 @@ def test_lifted_pairs_cancel(capacity_switch_graph):
     cert = dual_assignment(capacity_switch_graph)
     for u, w in capacity_switch_graph.mstar.items():
         assert cert.alpha[u] + cert.alpha[w] == 0
+
+
+def test_heaviest_covering_matching_weighs_the_dual_sum(
+    short_supply, capacity_switch, one_post
+):
+    # LP duality without the closed-form dual: the heaviest matching that
+    # covers every clone and dummy, found by a separate Hungarian solver
+    # over g.edges, weighs 0, which is the sum of the dual values.
+    instances = [short_supply, capacity_switch, one_post]
+    instances += [
+        generate_random_instance(GenParams(n_a=6, n_b=6, seed=seed))
+        for seed in range(40)
+    ]
+    for inst in instances:
+        leveled, _ = solve(inst)
+        g = build_cloned_graph(inst, leveled)
+        assert max_covering_weight(g) == 0 == sum(dual_assignment(g).alpha.values())
 
 
 def test_verification_passes_on_reference_instances(short_supply_graph, capacity_switch_graph):
