@@ -26,15 +26,16 @@ together edge by edge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import sub
 from typing import Collection, Iterator, Mapping, NamedTuple, Optional
 
 from .matchings import (
+    _UNRANKED,
     Correspondence,
     Matching,
+    _rank_vote,
     deficiency,
     validate_correspondence,
 )
@@ -83,18 +84,6 @@ def _canonical(u: CloneId, w: CloneId) -> CloneEdge:
     return (u, w) if _left_of_bipartition(u) else (w, u)
 
 
-# The rank of an artificial partner, held or offered: every real partner
-# beats it.
-_UNRANKED = math.inf
-
-
-def _vote(held: float, offered: float) -> int:
-    """A vertex's vote for a partner of rank ``offered`` against the one of
-    rank ``held`` it has in the lift: 1 for the better, -1 for the worse,
-    0 when neither is real."""
-    return (offered < held) - (held < offered)
-
-
 def _block_key(u: CloneId, w: CloneId) -> tuple:
     """The table key of the block that would hold the edge (u, w): the
     kind, side and owner of each end.  A side has one clone–dummy block, so
@@ -138,8 +127,8 @@ class CloneEdges(Mapping[CloneEdge, int]):
 
     The artificial blocks offer _UNRANKED on both sides, and include their
     lifted pairs.  A pair weighs the sum of its two ends' votes for what
-    the block offers against what they hold (``_vote``): a clone gives up a
-    real partner at -1, and a dummy or last-resort votes 0.
+    the block offers against what they hold (``matchings._rank_vote``): a
+    clone gives up a real partner at -1, and a dummy or last-resort votes 0.
 
     Iteration yields the lifted clone–clone pairs, then the table block by
     block (see ``blocks``).  ``len`` is counted when the mapping is built.
@@ -168,9 +157,9 @@ class CloneEdges(Mapping[CloneEdge, int]):
         for left, left_offer, right, right_offer in self._table.values():
             yield Block(
                 left,
-                [_vote(held, left_offer) for held in left.values()],
+                [_rank_vote(held, left_offer) for held in left.values()],
                 right,
-                [_vote(held, right_offer) for held in right.values()],
+                [_rank_vote(held, right_offer) for held in right.values()],
                 # Only a real edge's block offers real ranks.
                 left_offer < _UNRANKED,
             )
@@ -186,7 +175,7 @@ class CloneEdges(Mapping[CloneEdge, int]):
             return 0
         try:
             left, left_offer, right, right_offer = self._table[_block_key(u, w)]
-            return _vote(left[u], left_offer) + _vote(right[w], right_offer)
+            return _rank_vote(left[u], left_offer) + _rank_vote(right[w], right_offer)
         except KeyError:
             raise KeyError(e) from None
 

@@ -20,6 +20,7 @@ most wins, which a sort-and-count greedy finds exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -90,15 +91,16 @@ def deficiency(inst: Instance, m: Matching) -> DeficiencyReport:
     per_vertex = {}
     totals = {Side.A: 0, Side.B: 0}
     for v in inst.all_vertices():
-        short = shortfall(inst, m, v)
+        short = shortfall(inst.lower(v), len(m.partners(v)))
         per_vertex[v] = short
         totals[v.side] += short
     return DeficiencyReport(per_vertex, totals[Side.A], totals[Side.B])
 
 
-def shortfall(inst: Instance, m: Matching, v: VertexId) -> int:
-    """How far m leaves v below its lower quota."""
-    return max(0, inst.lower(v) - len(m.partners(v)))
+def shortfall(lower: int, held: int) -> int:
+    """How far a vertex holding ``held`` partners falls below its lower
+    quota ``lower``: the one place a vertex's deficiency is computed."""
+    return max(0, lower - held)
 
 
 def is_feasible(inst: Instance, m: Matching) -> bool:
@@ -129,6 +131,18 @@ def _prefers_new(inst: Instance, m: Matching, v: VertexId, u: VertexId) -> bool:
     return any(inst.rank(v, w) > r for w in mine)
 
 
+# The rank of bottom, or of any artificial partner: every real partner
+# beats it.
+_UNRANKED = math.inf
+
+
+def _rank_vote(held: float, offered: float) -> int:
+    """A vertex's vote for a partner of rank ``offered`` against one of rank
+    ``held``: 1 for the better, -1 for the worse, 0 for the same rank
+    (the same partner, or bottom on both sides)."""
+    return (offered < held) - (held < offered)
+
+
 def vote(
     inst: Instance, v: VertexId, x: Optional[VertexId], y: Optional[VertexId]
 ) -> int:
@@ -137,17 +151,9 @@ def vote(
     ``None`` stands for the bottom symbol; every real partner beats it.
     Raises ValueError when a real argument is not acceptable to v.
     """
-    if x is not None:
-        rx = inst.rank(v, x)
-    if y is not None:
-        ry = inst.rank(v, y)
-    if x == y:
-        return 0
-    if x is None:
-        return -1
-    if y is None:
-        return 1
-    return 1 if rx < ry else -1
+    rx = _UNRANKED if x is None else inst.rank(v, x)
+    ry = _UNRANKED if y is None else inst.rank(v, y)
+    return _rank_vote(ry, rx)
 
 
 @dataclass(frozen=True, eq=True)
@@ -244,9 +250,8 @@ def vertex_gain(
     gained = sorted((inst.rank(v, u) for u in new_side - old_side), reverse=True)
     lost = sorted((inst.rank(v, u) for u in old_side - new_side), reverse=True)
     size = max(len(gained), len(lost))
-    bottom = len(inst.pref(v))
-    gained = [bottom] * (size - len(gained)) + gained
-    lost = [bottom] * (size - len(lost)) + lost
+    gained = [_UNRANKED] * (size - len(gained)) + gained
+    lost = [_UNRANKED] * (size - len(lost)) + lost
     wins = 0
     for r in gained:
         if r < lost[wins]:

@@ -1,45 +1,59 @@
 """Exhaustive reference oracle for small instances.
 
-Enumerates every matching of an instance within an edge-count budget,
-computes the minimum total deficiency and the set of matchings attaining
-it, and filters that set down to the matchings popular within it.  The
-oracle is deliberately independent of the solver so the two can be played
-against each other in tests; it shares only the per-vertex vote kernel
-with ``matchings.max_delta`` and the per-vertex ``matchings.shortfall``.
+One depth-first search walks every matching of an instance within an
+edge-count budget and scores each as it goes, with its A-side and B-side
+deficiency.  From that search come the enumeration, the minimum total
+deficiency with the matchings attaining it, and the subset of those
+matchings popular within it.  The oracle is deliberately independent of
+the solver so the two can be played against each other in tests; it
+shares only the per-vertex vote kernel with ``matchings.max_delta`` and the
+per-vertex ``matchings.shortfall``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
-from .matchings import Matching, max_delta, shortfall, vertex_gain
-from .model import Instance, Side, VertexId
+from .matchings import Edge, Matching, max_delta, shortfall, vertex_gain
+from .model import Instance, Side
 
 DEFAULT_EDGE_BUDGET = 14
 
 
-def enumerate_matchings(
-    inst: Instance, max_edges: int = DEFAULT_EDGE_BUDGET
-) -> Iterator[Matching]:
-    """Yield every subset of the edge set respecting all upper quotas.
+def _scored_matchings(
+    inst: Instance, max_edges: int
+) -> Iterator[tuple[tuple[Edge, ...], int, int]]:
+    """Every subset of the edge set respecting all upper quotas, as its
+    pairs with its A-side and B-side deficiency.
 
     Edges are considered in sorted order and subsets are emitted
-    depth-first with the empty matching first, so the stream order is
-    deterministic.  Raises ValueError when the instance has more than
-    max_edges edges.
+    depth-first with the empty matching first.  A vertex holds upper minus
+    residual partners; vertices whose lower quota is 0 never fall short,
+    so they are not scored.  Raises ValueError, on the first step, when the
+    instance has more than max_edges edges.
     """
     edges = sorted(inst.edges)
     if len(edges) > max_edges:
         raise ValueError(
             f"instance has {len(edges)} edges, oracle budget is {max_edges}"
         )
-    residual = {v: inst.upper(v) for v in inst.all_vertices()}
-    chosen: list[tuple[VertexId, VertexId]] = []
+    upper = {v: inst.upper(v) for v in inst.all_vertices()}
+    residual = dict(upper)
+    lower_a, lower_b = (
+        [(v, inst.lower(v)) for v in inst.vertices(side) if inst.lower(v)]
+        for side in (Side.A, Side.B)
+    )
+    chosen: list[Edge] = []
 
-    def rec(i: int) -> Iterator[frozenset]:
+    def rec(i: int) -> Iterator[tuple[tuple[Edge, ...], int, int]]:
         if i == len(edges):
-            yield frozenset(chosen)
+            yield (
+                tuple(chosen),
+                sum(shortfall(lo, upper[v] - residual[v]) for v, lo in lower_a),
+                sum(shortfall(lo, upper[v] - residual[v]) for v, lo in lower_b),
+            )
             return
         yield from rec(i + 1)
         a, b = edges[i]
@@ -52,35 +66,30 @@ def enumerate_matchings(
             residual[b] += 1
             chosen.pop()
 
-    for pairs in rec(0):
-        yield Matching(pairs)
+    yield from rec(0)
 
 
-def _with_deficiencies(
-    inst: Instance, max_edges: int
-) -> Iterator[tuple[Matching, tuple[int, int]]]:
-    """Every matching with its A-side and B-side deficiencies.
+def enumerate_matchings(
+    inst: Instance, max_edges: int = DEFAULT_EDGE_BUDGET
+) -> Iterator[Matching]:
+    """Yield every subset of the edge set respecting all upper quotas.
 
-    Vertices whose lower quota is 0 never fall short, so they are skipped.
+    The stream follows the oracle's search: edges in sorted order,
+    depth-first, the empty matching first, so its order is deterministic.
+    Raises ValueError when the instance has more than max_edges edges.
     """
-    sides = [
-        [v for v in inst.vertices(side) if inst.lower(v)]
-        for side in (Side.A, Side.B)
-    ]
-    for m in enumerate_matchings(inst, max_edges):
-        da, db = (sum(shortfall(inst, m, v) for v in vs) for vs in sides)
-        yield m, (da, db)
+    for pairs, _, _ in _scored_matchings(inst, max_edges):
+        yield Matching(frozenset(pairs))
 
 
 def critical_set(
     inst: Instance, max_edges: int = DEFAULT_EDGE_BUDGET
 ) -> tuple[int, list[Matching]]:
     """The minimum total deficiency and every matching attaining it."""
-    # The enumeration yields the empty matching first, so scored is never
-    # empty.
-    scored = [(da + db, m) for m, (da, db) in _with_deficiencies(inst, max_edges)]
+    # The search yields the empty matching first, so scored is never empty.
+    scored = [(da + db, pairs) for pairs, da, db in _scored_matchings(inst, max_edges)]
     best = min(d for d, _ in scored)
-    return best, [m for d, m in scored if d == best]
+    return best, [Matching(frozenset(p)) for d, p in scored if d == best]
 
 
 def is_popular_among(
@@ -112,56 +121,40 @@ def oracle_solve(
     those popular against every other critical matching together with the
     largest size such a matching reaches.
     """
-    scored = list(_with_deficiencies(inst, max_edges))
-    defs = [d for _, d in scored]
-    min_def_a = min(da for da, _ in defs)
-    min_def_b = min(db for _, db in defs)
-    min_total = min(da + db for da, db in defs)
-    critical = [(m, d) for m, d in scored if d[0] + d[1] == min_total]
+    scored = list(_scored_matchings(inst, max_edges))
+    min_def_a = min(da for _, da, _ in scored)
+    min_def_b = min(db for _, _, db in scored)
+    min_total = min(da + db for _, da, db in scored)
+    critical = [
+        Matching(frozenset(p)) for p, da, db in scored if da + db == min_total
+    ]
 
     vertices = list(inst.all_vertices())
-    partner_sets = [
-        {v: m.partners(v) for v in vertices} for m, _ in critical
-    ]
+    partner_sets = [[m.partners(v) for v in vertices] for m in critical]
     gain_cache: dict[tuple, int] = {}
 
-    def best_gain(v: VertexId, new_i: int, old_i: int) -> int:
-        new_side = partner_sets[new_i][v]
-        old_side = partner_sets[old_i][v]
-        key = (v, new_side, old_side)
-        got = gain_cache.get(key)
-        if got is None:
-            got = vertex_gain(inst, v, new_side, old_side)
-            gain_cache[key] = got
-        return got
-
     def beats(challenger: int, incumbent: int) -> bool:
-        return (
-            sum(best_gain(v, challenger, incumbent) for v in vertices) > 0
-        )
+        total = 0
+        for key in zip(vertices, partner_sets[challenger], partner_sets[incumbent]):
+            got = gain_cache.get(key)
+            if got is None:
+                got = gain_cache[key] = vertex_gain(inst, *key)
+            total += got
+        return total > 0
 
     # Rivals that already knocked out a candidate are tried first; they
-    # knock out most other candidates quickly too.
-    knockers: list[int] = []
-    knocker_set: set[int] = set()
+    # knock out most other candidates quickly too.  An insertion-ordered
+    # set keeps them in the order they were found.
+    knockers: dict[int, None] = {}
     popular: list[Matching] = []
-    for i in range(len(critical)):
-        beaten = False
-        for j in knockers:
-            if j != i and beats(j, i):
-                beaten = True
-                break
-        if not beaten:
-            for j in range(len(critical)):
-                if j == i or j in knocker_set:
-                    continue
-                if beats(j, i):
-                    beaten = True
-                    knockers.append(j)
-                    knocker_set.add(j)
-                    break
-        if not beaten:
-            popular.append(critical[i][0])
+    for i, m in enumerate(critical):
+        rest = (j for j in range(len(critical)) if j not in knockers)
+        rivals = (j for j in chain(knockers, rest) if j != i)
+        knocker = next((j for j in rivals if beats(j, i)), None)
+        if knocker is None:
+            popular.append(m)
+        else:
+            knockers[knocker] = None
 
     return OracleResult(
         matching_count=len(scored),

@@ -3,9 +3,9 @@
 One test per shipped guarantee: exact values on the three reference
 fixtures, then certificate, oracle-agreement, lift-weight, proposal-budget
 and side-minima sweeps over a deterministic family of 500 seeded random
-instances small enough for exhaustive enumeration, and last a certificate
-check and three rival audits on one instance far beyond the reach of
-enumeration.
+instances small enough for exhaustive enumeration, and last two instances
+far beyond the reach of enumeration: a certificate check with three rival
+audits, and a dual-free optimality check of the lift with a permuted copy.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from popcrit import (
 )
 
 from conftest import DATA
+from reference_cycle_check import has_positive_cycle
 
 SUITE_SIZE = 500
 
@@ -228,6 +229,44 @@ def test_9_certificate_holds_at_scale():
         corr = random_correspondence(inst, n, m, rng)
         nstar = map_matching_to_clones(g, inst, n, corr)
         assert clone_matching_weight(g, inst, nstar) == delta(inst, n, m, corr)
+
+
+def test_10_lift_is_heaviest_at_scale_and_declaration_order_is_free():
+    # At n = 400 the closed-form dual is checked by verify_certificate and,
+    # independently of it, the lift's residual digraph has no positive
+    # cycle.  Declaring the vertices in another order changes every id and
+    # the FIFO seeding order, but not the outcome.
+    params = GenParams(
+        n_a=400, n_b=400, edge_density=10 / 400, max_upper=3, lq_fraction=0.5, seed=1
+    )
+    inst = generate_random_instance(params)
+    leveled, trace = solve(inst)
+    g = build_cloned_graph(inst, leveled)
+    report = verify_certificate(g, dual_assignment(g))
+    assert report.ok, report.failures
+    assert not has_positive_cycle(g)
+    assert check_output_properties(inst, leveled) == []
+    s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
+    assert trace.proposal_count <= (s + t + 2) * len(inst.edges)
+
+    lines = serialize_instance(inst).splitlines()
+    rng = random.Random(10)
+    a_lines = [line for line in lines if line.startswith("A ")]
+    b_lines = [line for line in lines if line.startswith("B ")]
+    rng.shuffle(a_lines)
+    rng.shuffle(b_lines)
+    prefs = lines[len(a_lines) + len(b_lines):]
+    permuted = parse_instance("\n".join(a_lines + b_lines + prefs) + "\n")
+    assert [permuted.name(v) for v in permuted.vertices(Side.A)] != [
+        inst.name(v) for v in inst.vertices(Side.A)
+    ]
+    other, other_trace = solve(permuted)
+    assert _named(permuted, other.matching) == _named(inst, leveled.matching)
+    assert other_trace.proposal_count == trace.proposal_count
+
+
+def _named(inst, m):
+    return {(inst.name(a), inst.name(b)) for a, b in m.pairs}
 
 
 def _reshuffled(inst, rng):

@@ -19,7 +19,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.mark.parametrize("workload", ["wide", "audit"])
+@pytest.mark.parametrize("workload", ["ladder", "wide", "audit", "oracle"])
 def test_traced_worker_runs_without_failures(workload, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import types
 from collections import Counter
 
 import pytest
@@ -38,6 +39,7 @@ from popcrit import (
 
 from conftest import DATA, all_correspondences, run_python
 from reference_assignment import max_covering_weight
+from reference_cycle_check import has_positive_cycle
 from reference_verifier import reference_verify
 
 
@@ -383,6 +385,55 @@ def test_heaviest_covering_matching_weighs_the_dual_sum(
         leveled, _ = solve(inst)
         g = build_cloned_graph(inst, leveled)
         assert max_covering_weight(g) == 0 == sum(dual_assignment(g).alpha.values())
+
+
+def _planted_swap(g):
+    """g with a positive 4-cycle planted, or None: two lifted pairs
+    (x1, y1) and (x2, y2) whose cross edges both exist get those cross
+    edges at weight 1, so swapping partners gains 2."""
+    lifted = [(x, y) for x, y in g.edges if g.mstar.get(x) == y]
+    for (x1, y1), (x2, y2) in itertools.combinations(lifted, 2):
+        if (x1, y2) in g.edges and (x2, y1) in g.edges:
+            edges = {**g.edges, (x1, y2): 1, (x2, y1): 1}
+            return types.SimpleNamespace(vertices=g.vertices, edges=edges, mstar=g.mstar)
+    return None
+
+
+def test_cycle_check_agrees_with_the_hungarian_reference(
+    short_supply, capacity_switch, one_post
+):
+    # Cycle cancelling over the lift's residual digraph finds no positive
+    # cycle where the Hungarian reference finds the lift heaviest.  On
+    # copies with two edge weights moved, the two agree on whether some
+    # covering matching outweighs the lift, and both catch a 4-cycle
+    # planted on purpose.
+    instances = [short_supply, capacity_switch, one_post]
+    instances += [
+        generate_random_instance(GenParams(n_a=6, n_b=6, seed=seed))
+        for seed in range(40)
+    ]
+    rng = random.Random(5)
+    planted = outweighed = 0
+    for inst in instances:
+        g = build_cloned_graph(inst, solve(inst)[0])
+        assert not has_positive_cycle(g)
+        for _ in range(5):
+            edges = dict(g.edges)
+            for e in rng.sample(sorted(edges), min(2, len(edges))):
+                edges[e] += rng.choice([-1, 1, 2])
+            tampered = types.SimpleNamespace(
+                vertices=g.vertices, edges=edges, mstar=g.mstar
+            )
+            lift = sum(w for (x, y), w in edges.items() if g.mstar.get(x) == y)
+            heavier = max_covering_weight(tampered) > lift
+            assert has_positive_cycle(tampered) == heavier
+            outweighed += heavier
+        tampered = _planted_swap(g)
+        if tampered is not None:
+            planted += 1
+            assert has_positive_cycle(tampered)
+            assert max_covering_weight(tampered) >= 2
+    assert planted >= 30 and outweighed >= 30
 
 
 def test_verification_passes_on_reference_instances(short_supply_graph, capacity_switch_graph):

@@ -236,3 +236,45 @@ def test_vertex_with_upper_quota_zero_solves_and_certifies(text, tmp_path, capsy
     assert "VERDICT PASS" in cert.read_text().splitlines()
     assert main(["oracle", str(path)]) == 0
     assert capsys.readouterr().out.endswith("\nPASS\n")
+
+
+# sha256 of the stdout of `popcrit oracle --list` for `popcrit gen`
+# instances of at most 14 edges; the first four list two or three popular
+# critical matchings, so the digests also pin the order they are listed in.
+ORACLE_DIGESTS = [
+    (
+        ["--n-a", "3", "--n-b", "4", "--lq-fraction", "1.0", "--edge-density", "0.9", "--seed", "1"],
+        "ad4167f54a3cb5e5b1964bb8670dac637c18229d5629d57c94bd7cdea303d7db",
+    ),
+    (
+        ["--n-a", "5", "--n-b", "5", "--max-upper", "2", "--seed", "5"],
+        "aa1159b6250e3327ac6d579c6fdadf5eaf8a58dedbf02ee978ccc18d33b94791",
+    ),
+    (
+        ["--n-a", "5", "--n-b", "5", "--max-upper", "2", "--seed", "3"],
+        "7f1aab61b4d81e1cf5021bce3975c8a2a99913bf1075f65a5059ffb75e45d632",
+    ),
+    (
+        ["--n-a", "4", "--n-b", "5", "--max-upper", "2", "--lq-fraction", "0.8",
+         "--edge-density", "0.6", "--seed", "4"],
+        "d9e266a1ba1f9dda7380c52bb861b6c17df8beceb3df9951db5d91839b262367",
+    ),
+    (
+        ["--n-a", "5", "--n-b", "4", "--lq-fraction", "0.3", "--edge-density", "0.55", "--seed", "3"],
+        "ffe1ce7a9034c3c23b9c49d54ab321b8b49dd09d74b8973c23b1b2b29d55b4d0",
+    ),
+    (
+        ["--n-a", "5", "--n-b", "5", "--seed", "1"],
+        "4f0e21cff440118e58507b7435999da1b8e3ae88d83a1da0e6ce56597d7ca13d",
+    ),
+]
+
+
+@pytest.mark.parametrize("gen_args, digest", ORACLE_DIGESTS)
+def test_oracle_list_matches_pinned_digests(gen_args, digest, tmp_path, capsys):
+    inst = tmp_path / "gen.inst"
+    assert main(["gen", *gen_args, "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", str(inst), "--list"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
