@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from operator import sub
 from typing import Collection, Iterator, Mapping, NamedTuple, Optional
 
@@ -118,12 +119,14 @@ class CloneEdges(Mapping[CloneEdge, int]):
 
     The lifted clone–clone pairs, one per matched real edge, weigh 0 and
     are read from the lift.  Every other edge lies in one block of a table
-    built with the graph:
+    built with the graph, in this order:
 
-    - one per unmatched real edge (a, b): a's clones × b's clones, a
-      offering b's rank and b offering a's;
-    - one per side: its clones × its dummies;
-    - one per vertex: its last-resort-adjacent clones × its last-resorts.
+    - one per vertex, A side first: its last-resort-adjacent clones × its
+      last-resorts;
+    - one per unmatched real edge (a, b), in a's declaration order and
+      then a's preference order: a's clones × b's clones, a offering b's
+      rank and b offering a's;
+    - one per side, A first: its clones × its dummies.
 
     The artificial blocks offer _UNRANKED on both sides, and include their
     lifted pairs.  A pair weighs the sum of its two ends' votes for what
@@ -131,7 +134,9 @@ class CloneEdges(Mapping[CloneEdge, int]):
     clone gives up a real partner at -1, and a dummy or last-resort votes 0.
 
     Iteration yields the lifted clone–clone pairs, then the table block by
-    block (see ``blocks``).  ``len`` is counted when the mapping is built.
+    block in the order above (see ``blocks``).  No caller depends on that
+    order: ``verify_certificate`` sorts its failures by edge.  ``len`` is
+    counted when the mapping is built.
     """
 
     __slots__ = ("_mstar", "_table", "_size")
@@ -232,41 +237,29 @@ class ClonedGraph:
 def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     """Construct the cloned graph and its one-to-one lift of the matching.
 
-    Matched edges consume clones in sorted edge order, deficient vertices
-    send their next clones to the shared per-side dummies, and whatever
-    clones remain pair with the vertex's own last-resorts, everything in
-    ascending ordinal order so the construction is deterministic.  Clones
-    of a vertex matched at or below its lower quota are connected to its
+    Matched edges take clones first, in sorted edge order.  Then one pass
+    over the vertices, A side first, treats each vertex in turn: its
+    deficient clones take the next dummies of its side, its spare clones
+    take its last-resorts, and its last-resort block is joined.  Clones of
+    a vertex matched at or below its lower quota are connected to its
     last-resorts only when they are themselves matched to one; vertices
     holding more than their lower quota connect every clone to every one
-    of their last-resorts.  Raises ValueError when the matching breaks an
-    upper quota or uses a non-edge.
+    of their last-resorts.  Everything goes in ascending ordinal order, so
+    the construction is deterministic.  Raises ValueError when the
+    matching breaks an upper quota or uses a non-edge.
     """
     m = leveled.matching
     s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
-    top = s + t + 1
+    short = deficiency(inst, m)
+
+    def ids(kind: CloneKind, side: Side, owner: int, n: int) -> tuple[CloneId, ...]:
+        return tuple(CloneId(kind, side, owner, k + 1) for k in range(n))
 
     clones_of = {
-        v: tuple(
-            CloneId(CloneKind.CLONE, v.side, v.index, k + 1)
-            for k in range(inst.upper(v))
-        )
-        for v in inst.all_vertices()
+        v: ids(CloneKind.CLONE, *v, inst.upper(v)) for v in inst.all_vertices()
     }
-    resorts_of = {
-        v: tuple(
-            CloneId(CloneKind.LAST_RESORT, v.side, v.index, k + 1)
-            for k in range(inst.upper(v) - inst.lower(v))
-        )
-        for v in inst.all_vertices()
-    }
-
-    short = deficiency(inst, m)
     dummies = {
-        side: tuple(
-            CloneId(CloneKind.DUMMY, side, _NO_OWNER, k + 1)
-            for k in range(total)
-        )
+        side: ids(CloneKind.DUMMY, side, _NO_OWNER, total)
         for side, total in ((Side.A, short.total_a), (Side.B, short.total_b))
     }
 
@@ -276,12 +269,26 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     # Each vertex's clones, each with the rank of its lifted real partner
     # or _UNRANKED.  The table's blocks share these dicts.
     holding = {v: dict.fromkeys(cs, _UNRANKED) for v, cs in clones_of.items()}
-    free_clones = {v: iter(clones_of[v]) for v in inst.all_vertices()}
+    free_clones = {v: iter(cs) for v, cs in clones_of.items()}
+    table: dict[tuple, _Entry] = {}
 
     def bond(u: CloneId, w: CloneId, x: int) -> None:
         mstar[u] = w
         mstar[w] = u
         level[u] = level[w] = x
+
+    def join(
+        ends: dict[CloneId, float], offer: float,
+        others: dict[CloneId, float], others_offer: float,
+    ) -> None:
+        # A vertex of upper quota 0 has no clones, and a side or a vertex
+        # may have no dummies or last-resorts.
+        if ends and others:
+            u, w = next(iter(ends)), next(iter(others))
+            if _left_of_bipartition(u):
+                table[_block_key(u, w)] = (ends, offer, others, others_offer)
+            else:
+                table[_block_key(w, u)] = (others, others_offer, ends, offer)
 
     for a, b in sorted(m.pairs):
         ai, bj = next(free_clones[a]), next(free_clones[b])
@@ -290,55 +297,31 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         holding[a][ai] = inst.rank(a, b)
         holding[b][bj] = inst.rank(b, a)
 
-    for side, dummy_level in ((Side.A, top), (Side.B, 0)):
-        pool = iter(dummies[side])
-        for v in inst.vertices(side):
-            for _ in range(short.per_vertex[v]):
-                bond(next(free_clones[v]), next(pool), dummy_level)
-        if next(pool, None) is not None:
-            raise InvariantError("every dummy must be consumed")
-
-    # Spare clones never outnumber last-resorts: a vertex with matched
-    # count c keeps upper - max(c, lower) spare clones.
-    lr_clone_level = {Side.A: t + 1, Side.B: t}
-    for v in inst.all_vertices():
-        x = lr_clone_level[v.side]
-        for resort in resorts_of[v]:
-            level[resort] = x
-        for clone, resort in zip(free_clones[v], resorts_of[v]):
-            bond(clone, resort, x)
-
+    dummy_level = {Side.A: s + t + 1, Side.B: 0}
+    resort_level = {Side.A: t + 1, Side.B: t}
+    free_dummies = {side: iter(pool) for side, pool in dummies.items()}
+    side_clones: dict[Side, dict[CloneId, float]] = {Side.A: {}, Side.B: {}}
+    resorts_of: dict[VertexId, tuple[CloneId, ...]] = {}
     lr_adjacent: set[CloneId] = set()
     for v in inst.all_vertices():
-        if not resorts_of[v]:
-            continue
-        if len(m.partners(v)) > inst.lower(v):
-            lr_adjacent.update(clones_of[v])
-        else:
-            lr_adjacent.update(
-                c for c in clones_of[v] if mstar[c].kind is CloneKind.LAST_RESORT
-            )
-
-    table: dict[tuple, _Entry] = {}
-
-    def join(
-        left: dict[CloneId, float], left_offer: float,
-        right: dict[CloneId, float], right_offer: float,
-    ) -> None:
-        # A vertex of upper quota 0 has no clones, and a side or a vertex
-        # may have no dummies or last-resorts.
-        if left and right:
-            key = _block_key(next(iter(left)), next(iter(right)))
-            table[key] = (left, left_offer, right, right_offer)
-
-    def join_artificial(
-        side: Side, clones: dict[CloneId, float], others: tuple[CloneId, ...]
-    ) -> None:
+        free, x = free_clones[v], resort_level[v.side]
+        lower, upper = inst.quotas(v)
+        for _ in range(short.per_vertex[v]):
+            bond(next(free), next(free_dummies[v.side]), dummy_level[v.side])
+        resorts = resorts_of[v] = ids(CloneKind.LAST_RESORT, *v, upper - lower)
+        level.update(dict.fromkeys(resorts, x))
+        # Spare clones never outnumber last-resorts: a vertex with matched
+        # count c keeps upper - max(c, lower) spare clones.
+        spare = dict.fromkeys(free, _UNRANKED)
+        for clone, resort in zip(spare, resorts):
+            bond(clone, resort, x)
+        adjacent = holding[v] if len(m.partners(v)) > lower else spare
+        lr_adjacent.update(adjacent)
         # Dummies and last-resorts hold and offer no rank.
-        ends = (clones, _UNRANKED, dict.fromkeys(others, _UNRANKED), _UNRANKED)
-        if side is Side.B:
-            ends = ends[2:] + ends[:2]
-        join(*ends)
+        join(adjacent, _UNRANKED, dict.fromkeys(resorts, _UNRANKED), _UNRANKED)
+        side_clones[v.side].update(holding[v])
+    if any(next(pool, None) is not None for pool in free_dummies.values()):
+        raise InvariantError("every dummy must be consumed")
 
     # Real edges in a's preference order, so that a's rank of b is the
     # position and nothing needs sorting.
@@ -346,25 +329,18 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         for rank, b in enumerate(inst.pref(a)):
             if (a, b) not in m.pairs:
                 join(holding[a], rank, holding[b], inst.rank(b, a))
-    for side in (Side.A, Side.B):
-        clones = {c: r for v in inst.vertices(side) for c, r in holding[v].items()}
-        join_artificial(side, clones, dummies[side])
-    for v in inst.all_vertices():
-        adjacent = {c: r for c, r in holding[v].items() if c in lr_adjacent}
-        join_artificial(v.side, adjacent, resorts_of[v])
+    for side, pool in dummies.items():
+        join(side_clones[side], _UNRANKED, dict.fromkeys(pool, _UNRANKED), _UNRANKED)
 
-    vertices = (
-        [c for v in inst.all_vertices() for c in clones_of[v]]
-        + [r for v in inst.all_vertices() for r in resorts_of[v]]
-        + list(dummies[Side.A])
-        + list(dummies[Side.B])
+    vertices = tuple(
+        chain(*clones_of.values(), *resorts_of.values(), *dummies.values())
     )
     return ClonedGraph(
         inst=inst,
         leveled=leveled,
         s=s,
         t=t,
-        vertices=tuple(vertices),
+        vertices=vertices,
         edges=CloneEdges(mstar, table),
         mstar=mstar,
         mstar_by_edge=mstar_by_edge,

@@ -176,7 +176,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
             if not 0 <= u.index < limit:
                 report.violations.append(f"preference out of range on {name}")
                 continue
-            if v not in inst.pref(u):
+            if v not in inst._ranks[u]:
                 report.violations.append(
                     f"non-mutual preference: {name} lists {inst.name(u)} "
                     f"but not vice versa"
@@ -349,9 +349,12 @@ def generate_random_instance(params: GenParams) -> Instance:
         nbrs = [VertexId(Side.B, j) for j in adjacency[i]]
         rng.shuffle(nbrs)
         a_prefs.append(tuple(nbrs))
+    b_adjacency: list[list[VertexId]] = [[] for _ in range(params.n_b)]
+    for i, row in enumerate(adjacency):
+        for j in row:
+            b_adjacency[j].append(VertexId(Side.A, i))
     b_prefs = []
-    for j in range(params.n_b):
-        nbrs = [VertexId(Side.A, i) for i in range(params.n_a) if j in adjacency[i]]
+    for nbrs in b_adjacency:
         rng.shuffle(nbrs)
         b_prefs.append(tuple(nbrs))
 

@@ -20,6 +20,9 @@ from .matchings import Edge, Matching, max_delta, shortfall, vertex_gain
 from .model import Instance, Side
 
 DEFAULT_EDGE_BUDGET = 14
+# The search recurses once per edge, and a search over 2**64 subsets never
+# finishes, so no budget takes the oracle past this many edges.
+EDGE_CEILING = 64
 
 
 def _scored_matchings(
@@ -29,20 +32,29 @@ def _scored_matchings(
     pairs with its A-side and B-side deficiency.
 
     Edges are considered in sorted order and subsets are emitted
-    depth-first with the empty matching first.  A vertex holds upper minus
-    residual partners; vertices whose lower quota is 0 never fall short,
-    so they are not scored.  Raises ValueError, on the first step, when the
-    instance has more than max_edges edges.
+    depth-first with the empty matching first.  Each vertex's held count
+    is kept in a list indexed by its position; vertices whose lower quota
+    is 0 never fall short, so they are not scored.  Raises ValueError, on
+    the first step, when the instance has more than max_edges edges or
+    more than EDGE_CEILING.
     """
     edges = sorted(inst.edges)
     if len(edges) > max_edges:
         raise ValueError(
             f"instance has {len(edges)} edges, oracle budget is {max_edges}"
         )
-    upper = {v: inst.upper(v) for v in inst.all_vertices()}
-    residual = dict(upper)
+    if len(edges) > EDGE_CEILING:
+        raise ValueError(
+            f"instance has {len(edges)} edges, and the oracle refuses more "
+            f"than {EDGE_CEILING} at any budget"
+        )
+    vertices = list(inst.all_vertices())
+    pos = {v: k for k, v in enumerate(vertices)}
+    upper = [inst.upper(v) for v in vertices]
+    held = [0] * len(vertices)
+    ends = [(pos[a], pos[b]) for a, b in edges]
     lower_a, lower_b = (
-        [(v, inst.lower(v)) for v in inst.vertices(side) if inst.lower(v)]
+        [(pos[v], inst.lower(v)) for v in inst.vertices(side) if inst.lower(v)]
         for side in (Side.A, Side.B)
     )
     chosen: list[Edge] = []
@@ -51,19 +63,19 @@ def _scored_matchings(
         if i == len(edges):
             yield (
                 tuple(chosen),
-                sum(shortfall(lo, upper[v] - residual[v]) for v, lo in lower_a),
-                sum(shortfall(lo, upper[v] - residual[v]) for v, lo in lower_b),
+                sum(shortfall(lo, held[k]) for k, lo in lower_a),
+                sum(shortfall(lo, held[k]) for k, lo in lower_b),
             )
             return
         yield from rec(i + 1)
-        a, b = edges[i]
-        if residual[a] > 0 and residual[b] > 0:
-            residual[a] -= 1
-            residual[b] -= 1
+        a, b = ends[i]
+        if held[a] < upper[a] and held[b] < upper[b]:
+            held[a] += 1
+            held[b] += 1
             chosen.append(edges[i])
             yield from rec(i + 1)
-            residual[a] += 1
-            residual[b] += 1
+            held[a] -= 1
+            held[b] -= 1
             chosen.pop()
 
     yield from rec(0)

@@ -85,6 +85,18 @@ def test_oracle_budget_is_enforced(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_oracle_refuses_an_instance_past_the_edge_ceiling_at_any_budget(
+    tmp_path, capsys
+):
+    # 1,600 edges: a search this deep would overflow the recursion limit.
+    inst = tmp_path / "big.inst"
+    args = ["gen", "--n-a", "40", "--n-b", "40", "--edge-density", "1"]
+    assert main([*args, "--out", str(inst)]) == 0
+    assert main(["oracle", str(inst), "--budget", "5000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1600" in err and "64" in err
+
+
 def test_gen_is_deterministic_per_seed(tmp_path, capsys):
     first = tmp_path / "one.inst"
     second = tmp_path / "two.inst"
