@@ -9,11 +9,11 @@ covers every dummy.  Edge weights on the cloned graph encode the votes a
 pair of vertices would cast for using that edge instead of keeping their
 current partners, so any rival matching mapped onto the clones has total
 weight equal to its vote advantage.  The weights depend only on the lift,
-so the graph keeps no pair apart from the lift: every other edge lies in
-one block of a table, a product of two groups of vertices each offered
-one rank, and its weight is the two ends' votes for those ranks (see
+so the graph keeps no pair: every edge, lifted or not, lies in one block
+of a table, a product of two groups of vertices each offered one rank,
+and its weight is the two ends' votes for those ranks (see
 ``CloneEdges``).  Each real edge (a, b) stands for upper(a)·upper(b) clone
-pairs, and all of them are checked at once.
+pairs, and the verifier checks them by classes of equal values.
 
 Popularity then reduces to a linear-programming fact: the closed-form
 dual assignment below is feasible for the maximum-weight perfect-matching
@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from operator import sub
 from typing import Collection, Iterator, Mapping, NamedTuple, Optional
 
 from .matchings import (
@@ -117,10 +116,11 @@ class CloneEdges(Mapping[CloneEdge, int]):
     """The edges of a cloned graph, each canonical edge (A-side partition
     first) mapped to its weight.
 
-    The lifted clone–clone pairs, one per matched real edge, weigh 0 and
-    are read from the lift.  Every other edge lies in one block of a table
-    built with the graph, in this order:
+    Every edge lies in one block of a table built with the graph, in this
+    order:
 
+    - one per matched real edge (a, b), in sorted order: the lifted pair,
+      each end offered the rank it holds, so that the pair weighs 0;
     - one per vertex, A side first: its last-resort-adjacent clones × its
       last-resorts;
     - one per unmatched real edge (a, b), in a's declaration order and
@@ -133,32 +133,20 @@ class CloneEdges(Mapping[CloneEdge, int]):
     the block offers against what they hold (``matchings._rank_vote``): a
     clone gives up a real partner at -1, and a dummy or last-resort votes 0.
 
-    Iteration yields the lifted clone–clone pairs, then the table block by
-    block in the order above (see ``blocks``).  No caller depends on that
-    order: ``verify_certificate`` sorts its failures by edge.  ``len`` is
-    counted when the mapping is built.
+    Iteration yields the table block by block in the order above (see
+    ``blocks``).  No caller depends on that order: ``verify_certificate``
+    sorts its failures by edge.  ``len`` is counted when the mapping is
+    built.
     """
 
-    __slots__ = ("_mstar", "_table", "_size")
+    __slots__ = ("_table", "_size")
 
-    def __init__(
-        self, mstar: Mapping[CloneId, CloneId], table: dict[tuple, _Entry]
-    ) -> None:
-        self._mstar = mstar
+    def __init__(self, table: dict[tuple, _Entry]) -> None:
         self._table = table
-        self._size = sum(1 for _ in self._lifted_clone_pairs()) + sum(
-            len(left) * len(right) for left, _, right, _ in table.values()
-        )
-
-    def _lifted_clone_pairs(self) -> Iterator[CloneEdge]:
-        for u, w in self._mstar.items():
-            if u.kind is _CLONE and w.kind is _CLONE and u.side is _SIDE_A:
-                yield u, w
+        self._size = sum(len(left) * len(right) for left, _, right, _ in table.values())
 
     def blocks(self) -> Iterator[Block]:
-        """Every edge outside the lifted clone–clone pairs, once, as
-        blocks.  The artificial blocks also contain their lifted pairs,
-        which callers skip."""
+        """Every edge, lifted pairs included, once, as blocks."""
         for left, left_offer, right, right_offer in self._table.values():
             yield Block(
                 left,
@@ -176,8 +164,6 @@ class CloneEdges(Mapping[CloneEdge, int]):
             raise KeyError(e) from None
         if not (isinstance(u, CloneId) and isinstance(w, CloneId)):
             raise KeyError(e)
-        if self._mstar.get(u) == w and _left_of_bipartition(u):
-            return 0
         try:
             left, left_offer, right, right_offer = self._table[_block_key(u, w)]
             return _rank_vote(left[u], left_offer) + _rank_vote(right[w], right_offer)
@@ -185,7 +171,6 @@ class CloneEdges(Mapping[CloneEdge, int]):
             raise KeyError(e) from None
 
     def __iter__(self) -> Iterator[CloneEdge]:
-        yield from self._lifted_clone_pairs()
         for left, _, right, _ in self._table.values():
             for u in left:
                 for w in right:
@@ -200,8 +185,7 @@ class ClonedGraph:
     """The cloned graph of one leveled matching, with its lift ``mstar``.
 
     ``edges`` maps each canonical edge (A-side partition first) to its
-    weight.  It reads the lifted pairs from ``mstar`` and every other edge
-    from one table of blocks (see ``CloneEdges``).
+    weight, read from one table of blocks (see ``CloneEdges``).
     """
 
     inst: Instance
@@ -237,7 +221,8 @@ class ClonedGraph:
 def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     """Construct the cloned graph and its one-to-one lift of the matching.
 
-    Matched edges take clones first, in sorted edge order.  Then one pass
+    Matched edges take clones first, in sorted edge order, and each lifted
+    pair is joined as a block of its own.  Then one pass
     over the vertices, A side first, treats each vertex in turn: its
     deficient clones take the next dummies of its side, its spare clones
     take its last-resorts, and its last-resort block is joined.  Clones of
@@ -294,8 +279,10 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         ai, bj = next(free_clones[a]), next(free_clones[b])
         mstar_by_edge[(a, b)] = (ai, bj)
         bond(ai, bj, leveled.levels[(a, b)])
-        holding[a][ai] = inst.rank(a, b)
-        holding[b][bj] = inst.rank(b, a)
+        ra, rb = inst.rank(a, b), inst.rank(b, a)
+        holding[a][ai], holding[b][bj] = ra, rb
+        # Each end is offered what it holds, so the lifted pair weighs 0.
+        join({ai: ra}, ra, {bj: rb}, rb)
 
     dummy_level = {Side.A: s + t + 1, Side.B: 0}
     resort_level = {Side.A: t + 1, Side.B: t}
@@ -341,7 +328,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         s=s,
         t=t,
         vertices=vertices,
-        edges=CloneEdges(mstar, table),
+        edges=CloneEdges(table),
         mstar=mstar,
         mstar_by_edge=mstar_by_edge,
         level=level,
@@ -412,39 +399,36 @@ class CertificateReport:
         return tuple(name for name, passed in self.checks if not passed)
 
 
-def _block_holds(
-    block: Block, alpha: Mapping[CloneId, int], level: Mapping[CloneId, int]
-) -> bool:
-    """Whether every pair of the block passes the edge checks of
-    ``verify_certificate``, decided from per-side minima and maxima in time
-    linear in the block's vertices.  Lifted pairs in the block count too,
-    so a block holding one of them can fail spuriously but never pass
-    wrongly."""
-    left, fs, right, hs, true_edges = block
-    if (
-        min(map(sub, map(alpha.__getitem__, left), fs))
-        + min(map(sub, map(alpha.__getitem__, right), hs))
-        < 0
-    ):
-        return False
-    if min(fs) + min(hs) < -2 or max(fs) + max(hs) > 2:
-        return False
-    xs = list(map(level.__getitem__, left))
-    ys = list(map(level.__getitem__, right))
-    if max(xs) > min(ys) + 1:
-        return False
-    # Every weight is at least -2 by now, so a pair of levels meets the
-    # level-weight bounds exactly when its heaviest pair does.  Sorting
-    # leaves the largest term of each level last, which is the one dict()
-    # keeps.
-    top_right = dict(sorted(zip(ys, hs)))
-    for x, f in dict(sorted(zip(xs, fs))).items():
-        below, same = top_right.get(x - 1), top_right.get(x)
-        if below is not None and f + below != -2:
-            return False
-        if true_edges and same is not None and f + same > 0:
-            return False
-    return True
+def _pair_failures(
+    alpha_sum: int, wt: int, x: int, y: int, true_edge: bool
+) -> Iterator[tuple[str, str]]:
+    """The edge checks of ``verify_certificate`` that a pair fails, in the
+    order they run, each with its message, in which ``{}`` stands for the
+    pair.  A pair is read only through its ends' alpha sum, its weight, the
+    levels x and y of its ends and whether it is a true edge."""
+    if alpha_sum < wt:
+        yield "edge_inequalities", f"{{}} has alpha sum {alpha_sum} < weight {wt}"
+    if not -2 <= wt <= 2:
+        yield "weights_in_range", f"{{}} weighs {wt}"
+    if x > y + 1:
+        yield "no_steep_downward", f"{{}} drops from level {x} to {y}"
+    if x == y + 1 and wt != -2:
+        yield (
+            "level_weight_bounds", f"one-level-down edge {{}} weighs {wt}, expected -2"
+        )
+    if x == y and true_edge and wt > 0:
+        yield "level_weight_bounds", f"same-level true edge {{}} weighs {wt} > 0"
+
+
+def _classes(
+    members: Collection[CloneId], terms: list[int],
+    alpha: Mapping[CloneId, int], level: Mapping[CloneId, int],
+) -> dict[tuple[int, int, int], list[CloneId]]:
+    """One side of a block, its members grouped by (alpha, term, level)."""
+    classes: dict[tuple[int, int, int], list[CloneId]] = {}
+    for u, term in zip(members, terms):
+        classes.setdefault((alpha[u], term, level[u]), []).append(u)
+    return classes
 
 
 def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateReport:
@@ -458,16 +442,16 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     the same level and exactly -2 one level down.  The weights are the ones
     ``g.edges`` gives.
 
-    The lifted pairs are checked one by one and every other edge block by
-    block (``CloneEdges.blocks``).  A pair weighs the sum of two terms, so
-    each edge check on a block reduces to minima and maxima over its two
-    sides: the edge inequalities hold for all pairs exactly when
-    min(alpha_u - term_u) + min(alpha_w - term_w) >= 0, and the level
-    checks compare per-level extremes.  Only a block that fails is checked
-    again pair by pair, so the failures name the same edges, in the same
-    order, as a check of every pair would.
+    Every edge lies in one block (``CloneEdges.blocks``), and its checks
+    other than tightness (``_pair_failures``) read it only through each
+    end's alpha, weight term and level, and the block's true-edge flag.  So
+    each side of a block is grouped into classes of members equal in those
+    three values, the checks run once per pair of classes, and a failing
+    pair of classes names each pair of its members.  Tightness is checked
+    on the lift.  The failures name the same edges, in the same order, as a
+    check of every pair would.
     """
-    alpha = cert.alpha
+    alpha, level = cert.alpha, g.level
     failures: list[str] = []
     results: dict[str, bool] = {
         "edge_inequalities": True,
@@ -487,57 +471,27 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
         return f"({g.clone_name(u)}, {g.clone_name(w)})"
 
     # Failures on edges are reported in edge order.  Only they are sorted,
-    # and stably, so each edge keeps its checks in the order they ran.
+    # and stably, so each edge keeps its checks in the order they ran:
+    # tightness, checked after the blocks, comes last.
     edge_failures: list[tuple[CloneEdge, str, str]] = []
-
-    def fail_edge(u: CloneId, w: CloneId, check: str, message: str) -> None:
-        edge_failures.append(((u, w), check, message))
-
-    def check_edge(u: CloneId, w: CloneId, wt: int) -> None:
-        if alpha[u] + alpha[w] < wt:
-            fail_edge(
-                u, w, "edge_inequalities",
-                f"{label(u, w)} has alpha sum {alpha[u] + alpha[w]} < weight {wt}",
-            )
-        if not -2 <= wt <= 2:
-            fail_edge(u, w, "weights_in_range", f"{label(u, w)} weighs {wt}")
-        x, y = g.level[u], g.level[w]
-        if x > y + 1:
-            fail_edge(
-                u, w, "no_steep_downward", f"{label(u, w)} drops from level {x} to {y}"
-            )
-        if x == y + 1 and wt != -2:
-            fail_edge(
-                u, w, "level_weight_bounds",
-                f"one-level-down edge {label(u, w)} weighs {wt}, expected -2",
-            )
-        if (
-            x == y
-            and u.kind is CloneKind.CLONE
-            and w.kind is CloneKind.CLONE
-            and wt > 0
-        ):
-            fail_edge(
-                u, w, "level_weight_bounds",
-                f"same-level true edge {label(u, w)} weighs {wt} > 0",
-            )
-        if g.mstar.get(u) == w and alpha[u] + alpha[w] != wt:
-            fail_edge(
-                u, w, "matched_edges_tight",
-                f"lifted edge {label(u, w)} is not tight: "
-                f"{alpha[u] + alpha[w]} != {wt}",
-            )
-
-    mstar = g.mstar
-    for u, w in mstar.items():
-        if _left_of_bipartition(u):
-            check_edge(u, w, 0)
-    for block in g.edges.blocks():
-        if not _block_holds(block, alpha, g.level):
-            for u, f in zip(block.left, block.left_terms):
-                for w, h in zip(block.right, block.right_terms):
-                    if mstar.get(u) != w:
-                        check_edge(u, w, f + h)
+    for left, fs, right, hs, true_edges in g.edges.blocks():
+        rights = _classes(right, hs, alpha, level)
+        for (alpha_u, f, x), us in _classes(left, fs, alpha, level).items():
+            for (alpha_w, h, y), ws in rights.items():
+                for check, message in _pair_failures(
+                    alpha_u + alpha_w, f + h, x, y, true_edges
+                ):
+                    edge_failures.extend(
+                        ((u, w), check, message.format(label(u, w)))
+                        for u in us
+                        for w in ws
+                    )
+    for u, w in g.mstar.items():
+        if _left_of_bipartition(u) and alpha[u] + alpha[w] != 0:
+            edge_failures.append((
+                (u, w), "matched_edges_tight",
+                f"lifted edge {label(u, w)} is not tight: {alpha[u] + alpha[w]} != 0",
+            ))
     edge_failures.sort(key=lambda failure: failure[0])
     for _, check, message in edge_failures:
         fail(check, message)

@@ -167,16 +167,15 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if len(set(prefs)) != len(prefs):
             report.violations.append(f"duplicate preference entry on {name}")
         for u in prefs:
-            if u.side == v.side:
-                report.violations.append(
-                    f"same-side preference {inst.name(u)} on {name}"
-                )
-                continue
+            # The range check runs first: the messages below name u.
             limit = len(inst.a_names if u.side is Side.A else inst.b_names)
             if not 0 <= u.index < limit:
                 report.violations.append(f"preference out of range on {name}")
-                continue
-            if v not in inst._ranks[u]:
+            elif u.side == v.side:
+                report.violations.append(
+                    f"same-side preference {inst.name(u)} on {name}"
+                )
+            elif v not in inst._ranks[u]:
                 report.violations.append(
                     f"non-mutual preference: {name} lists {inst.name(u)} "
                     f"but not vice versa"

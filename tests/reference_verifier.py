@@ -1,8 +1,10 @@
 """A pair-by-pair certificate verifier, kept as a reference for tests.
 
 ``reference_verify`` runs the seven checks of ``verify_certificate`` on
-every edge of ``g.edges`` one at a time, with no per-block summaries.  Its
-report must equal the library's, failures included, on any certificate.
+every edge of ``g.edges`` one at a time: it reads no blocks, groups no
+vertices into classes of equal values and checks tightness in the same
+pass.  Its report must equal the library's, failures included, on any
+certificate.
 """
 
 from __future__ import annotations

@@ -292,6 +292,30 @@ def test_implicit_edges_match_the_explicit_rule(
     assert set(seen) == {"matched, not lifted", "not adjacent", "not lr-adjacent"}
 
 
+def test_blocks_cover_every_edge_once(
+    short_supply_graph, capacity_switch_graph, high_quota_graph, deficient_graph
+):
+    # The verifier checks edges only through their blocks, lifted pairs
+    # included, and reads a true edge from the block's flag.
+    generated = []
+    for seed in range(3):
+        inst = generate_random_instance(
+            GenParams(n_a=4, n_b=5, max_upper=3, lq_fraction=0.5, edge_density=0.6, seed=seed)
+        )
+        generated.append(build_cloned_graph(inst, solve(inst)[0]))
+    fixtures = [short_supply_graph, capacity_switch_graph, high_quota_graph, deficient_graph]
+    for g in fixtures + generated:
+        weights = {}
+        for left, fs, right, hs, true_edges in g.edges.blocks():
+            for u, f in zip(left, fs):
+                for w, h in zip(right, hs):
+                    assert (u, w) not in weights
+                    assert true_edges == (u.kind is w.kind is CloneKind.CLONE)
+                    weights[(u, w)] = f + h
+        assert weights == dict(g.edges.items())
+        assert all(g.canonical(u, w) in weights for u, w in g.mstar.items())
+
+
 def test_a_vertex_without_capacity_certifies():
     # b1 has upper quota 0, so its real edge to a1 stays unmatched and
     # stands for no clone pair at all.
@@ -632,14 +656,19 @@ def _apply_moves(g, values, moves):
     alpha_moves=_moves(st.integers(-3, 1)),
     level_moves=_moves(st.integers(-2, 2)),
 )
-# Each example fails exactly one per-block summary of some block: a
-# same-level true edge that weighs 2, and a one-level-down edge.
+# The first two examples each fail one check on some block: a same-level
+# true edge that weighs 2, and a one-level-down edge.  The last two tamper
+# with a lifted clone–clone pair in its 1×1 block: b1.1's partner a4.1
+# loses a unit of alpha, so the pair fails the edge inequality and
+# tightness together, and b3.1 drops two levels below its partner a1.1.
 @example(
     params=GenParams(n_a=5, n_b=5, max_upper=1, lq_fraction=0.5, edge_density=0.9, seed=63691),
     alpha_moves=[],
     level_moves=[(CloneKind.CLONE, 4, 1)],
 )
 @example(params="deficient_graph", alpha_moves=[], level_moves=[(CloneKind.CLONE, 0, 2)])
+@example(params="deficient_graph", alpha_moves=[(CloneKind.CLONE, 6, -1)], level_moves=[])
+@example(params="deficient_graph", alpha_moves=[], level_moves=[(CloneKind.CLONE, 11, -2)])
 def test_block_checks_match_the_pair_by_pair_reference(
     high_quota_graph, deficient_graph, params, alpha_moves, level_moves
 ):

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from popcrit import DualCertificate, dual_assignment
 from popcrit.cli import main
 
 from conftest import DATA
@@ -40,6 +41,21 @@ def test_solve_emits_trace_and_certificate(tmp_path, capsys):
     capsys.readouterr()
     assert trace_path.read_text() == (DATA / "short_supply_trace.csv").read_text()
     assert cert_path.read_text() == (DATA / "short_supply_cert.txt").read_text()
+
+
+def test_solve_exits_two_when_the_certificate_fails(monkeypatch, tmp_path, capsys):
+    def skewed_dual(g):
+        alpha = dict(dual_assignment(g).alpha)
+        alpha[g.vertices[0]] += 1
+        return DualCertificate(alpha)
+
+    monkeypatch.setattr("popcrit.cli.dual_assignment", skewed_dual)
+    cert_path = tmp_path / "cert.txt"
+    assert main(["solve", SHORT_SUPPLY, "--emit-certificate", str(cert_path)]) == 2
+    # a1.1 is lifted onto b1, so its pair is no longer tight.
+    assert capsys.readouterr().err == "certificate FAIL: zero_sum,matched_edges_tight\n"
+    last = cert_path.read_text().splitlines()[-1]
+    assert last == "VERDICT FAIL zero_sum,matched_edges_tight"
 
 
 def test_verify_reports_deficiency_and_blocking(capsys):

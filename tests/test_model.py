@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,15 @@ def test_parse_rejects_same_side_preference():
     text = "A a1 0 1\nA a2 0 1\nB b1 0 1\nPREF a1 a2\nPREF a2\nPREF b1"
     with pytest.raises(InstanceFormatError, match="same-side"):
         parse_instance(text)
+
+
+def test_validate_reports_an_out_of_range_same_side_preference(short_supply):
+    # Only an Instance built in code can hold this entry: a1 lists an
+    # A-side vertex that does not exist.
+    a_prefs = list(short_supply.a_prefs)
+    a_prefs[0] += (VertexId(Side.A, 5),)
+    inst = dataclasses.replace(short_supply, a_prefs=tuple(a_prefs))
+    assert validate_instance(inst).violations == ["preference out of range on a1"]
 
 
 def test_comments_and_blank_lines_are_ignored():
