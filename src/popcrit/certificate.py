@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from typing import Collection, Iterator, Mapping, NamedTuple, Optional
+from itertools import chain, islice
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .matchings import (
     _UNRANKED,
@@ -195,11 +195,9 @@ class ClonedGraph:
     vertices: tuple[CloneId, ...]
     edges: CloneEdges
     mstar: Mapping[CloneId, CloneId]
-    mstar_by_edge: Mapping[Edge, CloneEdge]
     # A vertex's partition side is its side of the bipartition, so only
     # the level is stored.
     level: Mapping[CloneId, int]
-    lr_adjacent: frozenset[CloneId]
     dummies: Mapping[Side, tuple[CloneId, ...]]
     # Clones and last-resorts of each vertex, in ordinal order.
     clones_of: Mapping[VertexId, tuple[CloneId, ...]]
@@ -218,15 +216,35 @@ class ClonedGraph:
         return _canonical(u, v)
 
 
+def _park(
+    clones: Iterable[CloneId], short: int,
+    dummies: Iterator[CloneId], resorts: Iterable[CloneId],
+) -> Iterator[tuple[CloneId, CloneId]]:
+    """Pair the clones a vertex leaves without a real partner, in order,
+    with slots: the first ``short`` of them, the vertex's shortfall, with
+    the next dummies of its side, the rest with its last-resorts.  Both
+    lifts park by this rule.  Raises InvariantError when the slots run
+    out."""
+    # Slots suffice for a critical matching: each side's shortfalls sum to
+    # its dummy count, and a vertex holding c real partners parks
+    # upper - max(c, lower) <= upper - lower clones on last-resorts.
+    slots = chain(islice(dummies, short), resorts)
+    for u in clones:
+        w = next(slots, None)
+        if w is None:
+            raise InvariantError("no slot left for an unmatched clone")
+        yield u, w
+
+
 def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     """Construct the cloned graph and its one-to-one lift of the matching.
 
     Matched edges take clones first, in sorted edge order, and each lifted
-    pair is joined as a block of its own.  Then one pass
-    over the vertices, A side first, treats each vertex in turn: its
-    deficient clones take the next dummies of its side, its spare clones
-    take its last-resorts, and its last-resort block is joined.  Clones of
-    a vertex matched at or below its lower quota are connected to its
+    pair is joined as a block of its own.  Then one pass over the
+    vertices, A side first, treats each vertex in turn: its remaining
+    clones are parked (``_park``) on the next dummies of its side and on
+    its last-resorts, and its last-resort block is joined.  Clones of a
+    vertex matched at or below its lower quota are connected to its
     last-resorts only when they are themselves matched to one; vertices
     holding more than their lower quota connect every clone to every one
     of their last-resorts.  Everything goes in ascending ordinal order, so
@@ -250,7 +268,8 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
 
     mstar: dict[CloneId, CloneId] = {}
     level: dict[CloneId, int] = {}
-    mstar_by_edge: dict[Edge, CloneEdge] = {}
+    for side, x in ((Side.A, s + t + 1), (Side.B, 0)):
+        level.update(dict.fromkeys(dummies[side], x))
     # Each vertex's clones, each with the rank of its lifted real partner
     # or _UNRANKED.  The table's blocks share these dicts.
     holding = {v: dict.fromkeys(cs, _UNRANKED) for v, cs in clones_of.items()}
@@ -277,33 +296,28 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
 
     for a, b in sorted(m.pairs):
         ai, bj = next(free_clones[a]), next(free_clones[b])
-        mstar_by_edge[(a, b)] = (ai, bj)
         bond(ai, bj, leveled.levels[(a, b)])
         ra, rb = inst.rank(a, b), inst.rank(b, a)
         holding[a][ai], holding[b][bj] = ra, rb
         # Each end is offered what it holds, so the lifted pair weighs 0.
         join({ai: ra}, ra, {bj: rb}, rb)
 
-    dummy_level = {Side.A: s + t + 1, Side.B: 0}
     resort_level = {Side.A: t + 1, Side.B: t}
     free_dummies = {side: iter(pool) for side, pool in dummies.items()}
     side_clones: dict[Side, dict[CloneId, float]] = {Side.A: {}, Side.B: {}}
     resorts_of: dict[VertexId, tuple[CloneId, ...]] = {}
-    lr_adjacent: set[CloneId] = set()
     for v in inst.all_vertices():
-        free, x = free_clones[v], resort_level[v.side]
         lower, upper = inst.quotas(v)
-        for _ in range(short.per_vertex[v]):
-            bond(next(free), next(free_dummies[v.side]), dummy_level[v.side])
         resorts = resorts_of[v] = ids(CloneKind.LAST_RESORT, *v, upper - lower)
-        level.update(dict.fromkeys(resorts, x))
-        # Spare clones never outnumber last-resorts: a vertex with matched
-        # count c keeps upper - max(c, lower) spare clones.
-        spare = dict.fromkeys(free, _UNRANKED)
-        for clone, resort in zip(spare, resorts):
-            bond(clone, resort, x)
+        level.update(dict.fromkeys(resorts, resort_level[v.side]))
+        spare: dict[CloneId, float] = {}
+        for u, w in _park(
+            free_clones[v], short.per_vertex[v], free_dummies[v.side], resorts
+        ):
+            bond(u, w, level[w])
+            if w.kind is CloneKind.LAST_RESORT:
+                spare[u] = _UNRANKED
         adjacent = holding[v] if len(m.partners(v)) > lower else spare
-        lr_adjacent.update(adjacent)
         # Dummies and last-resorts hold and offer no rank.
         join(adjacent, _UNRANKED, dict.fromkeys(resorts, _UNRANKED), _UNRANKED)
         side_clones[v.side].update(holding[v])
@@ -330,9 +344,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         vertices=vertices,
         edges=CloneEdges(table),
         mstar=mstar,
-        mstar_by_edge=mstar_by_edge,
         level=level,
-        lr_adjacent=frozenset(lr_adjacent),
         dummies=dummies,
         clones_of=clones_of,
         resorts_of=resorts_of,
@@ -542,6 +554,13 @@ def map_matching_to_clones(
     exactly one correspondence pair.  The rival must be critical, meaning
     its per-side deficiencies match the graph's dummy counts; anything
     else is rejected.
+
+    One pass over the vertices, A side first, walks each vertex's clones
+    in ordinal order.  A clone whose m-partner n keeps stays on its lifted
+    pair, and one whose m-partner the correspondence maps to a rival
+    partner serves that partner.  The rest serve the rival partners mapped
+    from bottom, and those still left are parked as ``build_cloned_graph``
+    parks them (``_park``), from n's shortfall at the vertex.
     """
     m = g.leveled.matching
     short = deficiency(inst, n)
@@ -553,12 +572,6 @@ def map_matching_to_clones(
                 f"{total} != {len(g.dummies[side])} dummies"
             )
 
-    corr_of: dict[tuple[VertexId, VertexId], Optional[VertexId]] = {}
-    for v, listed in corr.pairs.items():
-        for x, y in listed:
-            if x is not None:
-                corr_of[(v, x)] = y
-
     nstar: dict[CloneId, CloneId] = {}
 
     def bond(u: CloneId, w: CloneId) -> None:
@@ -567,57 +580,44 @@ def map_matching_to_clones(
         nstar[u] = w
         nstar[w] = u
 
-    def rival_clone(v: VertexId, partner: VertexId) -> CloneId:
-        """v's clone for the rival edge to partner: the lifted clone of the
-        edge it corresponds to, else a free clone backed by a dummy, else
-        one backed by a last-resort."""
-        image = corr_of[(v, partner)]
-        if image is not None:
-            ai, bj = g.mstar_by_edge[(v, image) if v.side is Side.A else (image, v)]
-            return ai if v.side is Side.A else bj
-        for kind in (CloneKind.DUMMY, CloneKind.LAST_RESORT):
-            for u in g.clones_of[v]:
-                if u not in nstar and g.mstar[u].kind is kind:
-                    return u
-        raise InvariantError("ran out of clones")
-
-    for a, b in sorted(n.pairs & m.pairs):
-        bond(*g.mstar_by_edge[(a, b)])
-
-    for a, b in sorted(n.pairs - m.pairs):
-        bond(rival_clone(a, b), rival_clone(b, a))
-
-    # Only the two loops below bond dummies, each to the first free one of
-    # its side, so a cursor per side finds it.
+    # The A end of each rival edge outside m, until the pass reaches its
+    # B end: inst.all_vertices() yields the A side first.
+    a_ends: dict[Edge, CloneId] = {}
     free_dummies = {side: iter(g.dummies[side]) for side in (Side.A, Side.B)}
-
     for v in inst.all_vertices():
-        if not short.per_vertex[v]:
-            continue
+        # v's partners all lie on the other side, so an index names each.
+        theirs = {u.index for u in n.partners(v)}
+        listed = corr.pairs.get(v, ())
+        image = {y.index: x for x, y in listed if y is not None}
+        from_bottom = [x for x, y in listed if y is None]
+        serves: dict[VertexId, CloneId] = {}
+        rest: list[CloneId] = []
         for u in g.clones_of[v]:
-            if u in nstar or u in g.lr_adjacent:
-                continue
-            dummy = next(free_dummies[v.side], None)
-            if dummy is None:
-                raise InvariantError("dummies exhausted for a deficient vertex")
-            bond(u, dummy)
-
-    # Only the loop below bonds last-resorts, so a cursor per vertex finds
-    # the first free one; a clone reaches its owner's last-resorts exactly
-    # when it is in lr_adjacent.
-    for v in inst.all_vertices():
-        free_resorts = iter(g.resorts_of[v])
-        for u in g.clones_of[v]:
-            if u in nstar:
-                continue
-            dummy = next(free_dummies[v.side], None)
-            if dummy is not None:
-                bond(u, dummy)
-                continue
-            resort = next(free_resorts, None) if u in g.lr_adjacent else None
-            if resort is None:
-                raise InvariantError("no slot left for an unmatched clone")
-            bond(u, resort)
+            w = g.mstar[u]
+            if w.kind is _CLONE:
+                if w.owner in theirs:
+                    if v.side is _SIDE_A:
+                        bond(u, w)
+                    continue
+                x = image[w.owner]
+                if x is not None:
+                    serves[x] = u
+                    continue
+            rest.append(u)
+        # Ordinal order puts the clones m freed first and those m parked on
+        # last-resorts last, so that only the latter reach last-resorts
+        # when m holds v at or below its lower quota.
+        serves.update(zip(from_bottom, rest))
+        for x, u in serves.items():
+            if v.side is _SIDE_A:
+                a_ends[(v, x)] = u
+            else:
+                bond(a_ends[(x, v)], u)
+        for u, w in _park(
+            rest[len(from_bottom):], short.per_vertex[v],
+            free_dummies[v.side], g.resorts_of[v],
+        ):
+            bond(u, w)
 
     for side in (Side.A, Side.B):
         if not all(d in nstar for d in g.dummies[side]):

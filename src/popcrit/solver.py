@@ -77,9 +77,7 @@ class LeveledMatching:
 class ProposalEvent(NamedTuple):
     proposer: VertexId
     level: int
-    proposer_capacity: int
     receiver: VertexId
-    receiver_capacity: int
     rejected: Rejection
     # Number of matched edges just after this proposal.
     matching_size: int
@@ -99,23 +97,16 @@ class Trace:
 
     @cached_property
     def events(self) -> tuple[ProposalEvent, ...]:
-        """The record as ProposalEvents, decoded on first access.  The
-        proposer offers its upper quota through level t + 1 and its lower
-        quota above; the receiver offers whichever quota its flag indexes
-        in its (lower, upper) ``Quotas`` pair."""
-        inst = self.inst
-        a_ids = list(inst.vertices(Side.A))
-        b_ids = list(inst.vertices(Side.B))
-        t = inst.sum_lower(Side.B)
-        a_quotas, b_quotas = inst.a_quotas, inst.b_quotas
+        """The record as ProposalEvents, decoded on first access."""
+        a_ids = list(self.inst.vertices(Side.A))
+        b_ids = list(self.inst.vertices(Side.B))
         it = iter(self.record)
         return tuple(
             ProposalEvent(
-                a_ids[a], level, a_quotas[a][level <= t + 1],
-                b_ids[b], b_quotas[b][b_upper],
+                a_ids[a], level, b_ids[b],
                 None if rej < 0 else (a_ids[rej], rej_level), size,
             )
-            for a, level, b, b_upper, rej, rej_level, size in zip(*[it] * _WIDTH)
+            for a, level, b, _, rej, rej_level, size in zip(*[it] * _WIDTH)
         )
 
 

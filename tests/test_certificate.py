@@ -114,10 +114,7 @@ def test_lift_is_a_perfect_pairing_of_clones_and_dummies(short_supply_graph):
             assert u in g.mstar
             assert g.mstar[g.mstar[u]] == u
     # the solver matched a1-b1, a2-b2, a3-b2; clones pair in edge order
-    assert g.mstar_by_edge[(VertexId(Side.A, 0), VertexId(Side.B, 0))] == (
-        _clone(Side.A, 0, 1),
-        _clone(Side.B, 0, 1),
-    )
+    assert g.mstar[_clone(Side.A, 0, 1)] == _clone(Side.B, 0, 1)
     assert g.mstar[_clone(Side.A, 1, 2)].kind is CloneKind.DUMMY
     assert g.mstar[_clone(Side.A, 0, 2)] == _resort(Side.A, 0, 1)
 
@@ -152,7 +149,7 @@ def test_build_is_deterministic(short_supply):
 
 def test_edge_weights_by_hand(short_supply_graph, short_supply):
     g = short_supply_graph
-    for pair, lifted in g.mstar_by_edge.items():
+    for lifted in g.mstar.items():
         assert edge_weight(g, short_supply, lifted) == 0
     # a1's spare clone and b2's clone backed by a2: both would gain
     assert edge_weight(g, short_supply, (_clone(Side.A, 0, 2), _clone(Side.B, 1, 1))) == 2
@@ -241,6 +238,13 @@ def test_true_edge_weights_match_vote_recomputation(graph_name, request):
     assert ("clone-dummy" in seen) == any(g.dummies.values())
 
 
+def _lr_adjacent(g, v, c):
+    """Whether v's clone c reaches v's last-resorts: every clone does when m
+    holds v above its lower quota, otherwise those m parks on one."""
+    over_lower = len(g.leveled.matching.partners(v)) > g.inst.lower(v)
+    return over_lower or g.mstar[c].kind is CloneKind.LAST_RESORT
+
+
 def _explicit_edges(g):
     """The edge set built pair by pair as the graph once stored it: the
     lifted pairs, every clone pair over an unmatched real edge, every clone
@@ -251,10 +255,9 @@ def _explicit_edges(g):
     for a, b in inst.edges - m.pairs:
         pairs.update(itertools.product(g.clones_of[a], g.clones_of[b]))
     for v in inst.all_vertices():
-        over_lower = len(m.partners(v)) > inst.lower(v)
         for c in g.clones_of[v]:
             pairs.update(g.canonical(c, d) for d in g.dummies[v.side])
-            if over_lower or g.mstar[c].kind is CloneKind.LAST_RESORT:
+            if _lr_adjacent(g, v, c):
                 pairs.update(g.canonical(c, r) for r in g.resorts_of[v])
     return {(u, w): _family_and_weight(g, u, w)[1] for u, w in pairs}
 
@@ -272,7 +275,7 @@ def test_implicit_edges_match_the_explicit_rule(
         assert not any((w, u) in g.edges for u, w in explicit)
 
         inst, m = g.inst, g.leveled.matching
-        lifted = set(g.mstar_by_edge.values())
+        lifted = set(g.mstar.items())
         for a, b in m.pairs:
             for pair in itertools.product(g.clones_of[a], g.clones_of[b]):
                 if pair not in lifted:
@@ -285,7 +288,7 @@ def test_implicit_edges_match_the_explicit_rule(
                     seen["not adjacent"] += 1
         for v in inst.all_vertices():
             for c in g.clones_of[v]:
-                if c not in g.lr_adjacent:
+                if not _lr_adjacent(g, v, c):
                     for r in g.resorts_of[v]:
                         assert g.canonical(c, r) not in g.edges
                         seen["not lr-adjacent"] += 1
@@ -536,13 +539,27 @@ def test_report_ok_is_pure_bookkeeping():
 # ------------------------------------------------------------ rival lifting
 
 
-def test_identity_lift_recovers_the_matching_lift(short_supply_graph, short_supply):
-    g = short_supply_graph
-    m = g.leveled.matching
-    nstar = map_matching_to_clones(g, short_supply, m, Correspondence({}))
+def _assert_perfect_pairing(g, nstar):
+    """Each clone and each dummy lies on exactly one edge of the lift, each
+    last-resort on at most one, and every edge is one of g's.  The weight
+    alone cannot see a clone dropped from a parking that weighs 0."""
+    ends = Counter(u for e in nstar for u in e)
+    assert set(ends) <= set(g.vertices)
+    for u in g.vertices:
+        assert ends[u] <= 1 if u.kind is CloneKind.LAST_RESORT else ends[u] == 1
+    assert all(e in g.edges for e in nstar)
+
+
+@pytest.mark.parametrize(
+    "graph_name",
+    ["short_supply_graph", "capacity_switch_graph", "high_quota_graph", "deficient_graph"],
+)
+def test_identity_lift_recovers_the_matching_lift(graph_name, request):
+    g = request.getfixturevalue(graph_name)
+    nstar = map_matching_to_clones(g, g.inst, g.leveled.matching, Correspondence({}))
     expected = frozenset(g.canonical(u, w) for u, w in g.mstar.items())
     assert nstar == expected
-    assert clone_matching_weight(g, short_supply, nstar) == 0
+    assert clone_matching_weight(g, g.inst, nstar) == 0
 
 
 def test_lift_weight_equals_delta_for_every_critical_rival(short_supply_graph, short_supply):
@@ -619,6 +636,7 @@ def test_random_rival_lifts_realize_their_delta(seed):
     for n in critical[:6]:
         corr = random_correspondence(inst, n, m, rng)
         nstar = map_matching_to_clones(g, inst, n, corr)
+        _assert_perfect_pairing(g, nstar)
         value = delta(inst, n, m, corr)
         assert clone_matching_weight(g, inst, nstar) == value
         assert value <= 0
@@ -707,4 +725,5 @@ def test_lift_realizes_delta_at_high_quotas(high_quota_graph):
         assert max_delta(inst, m, n) <= 0
         corr = random_correspondence(inst, n, m, rng)
         nstar = map_matching_to_clones(g, inst, n, corr)
+        _assert_perfect_pairing(g, nstar)
         assert clone_matching_weight(g, inst, nstar) == delta(inst, n, m, corr)
