@@ -9,8 +9,11 @@ between the remaining positions (a correspondence), and casts one vote per
 bijection pair, +1 for a preferred partner, -1 for a worse one, where any
 real partner beats bottom.  Bottom therefore shows up only on the side
 where the vertex holds fewer real partners, exactly as many times as the
-shortfall.  ``delta`` totals the votes for a given correspondence and
-``max_delta`` maximizes over all correspondences, one vertex at a time.
+shortfall.  That padding rule is stated once, in ``_padded_difference``,
+which ``validate_correspondence``, ``random_correspondence`` and the vote
+kernel ``vertex_gain`` all read.  ``delta`` totals the votes for a given
+correspondence and ``max_delta`` maximizes over all correspondences, one
+vertex at a time.
 
 No pair ever ties: preference lists are strict, the gained and lost
 partner sets are disjoint, and bottom pads only one side.  So a vertex
@@ -22,8 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Optional
+from functools import cached_property, partial
+from typing import Callable, Mapping, Optional
 
 from .model import Instance, Side, VertexId
 
@@ -65,7 +68,7 @@ def check_matching(inst: Instance, m: Matching) -> None:
             raise MatchingError("matching pairs must be (A-vertex, B-vertex)")
         if (a, b) not in inst.edges:
             raise MatchingError(
-                f"({inst.name(a)}, {inst.name(b)}) is not an edge of the instance"
+                f"({inst.label(a)}, {inst.label(b)}) is not an edge of the instance"
             )
     for v in inst.all_vertices():
         if len(m.partners(v)) > inst.upper(v):
@@ -165,44 +168,60 @@ class Correspondence:
     correspondence was built for.  Every real difference member appears
     exactly once, and only the smaller difference is padded: bottoms on the
     x side number max(0, |N(v)| - |M(v)|) exactly, and symmetrically on the
-    y side, so no pair is bottom on both sides.  Vertices with identical
-    partner sets may be omitted.
+    y side, so no pair is bottom on both sides.  Each side is thus, as a
+    multiset, that side of ``_padded_difference(M(v), N(v))``, the one
+    place this rule is stated.  Vertices with identical partner sets may be
+    omitted.
     """
 
     pairs: Mapping[VertexId, tuple[CorrPair, ...]]
 
 
+def _padded_difference(
+    mine: frozenset[VertexId],
+    theirs: frozenset[VertexId],
+    rank: Optional[Callable[[VertexId], int]] = None,
+) -> tuple[list, list]:
+    """The partners only in mine and those only in theirs, each list sorted,
+    with the shorter list padded at its end with bottoms: the one place the
+    padding rule of a correspondence is stated.  Given ``rank``, the lists
+    hold the partners' ranks instead, so they run best first."""
+    ours, others = mine - theirs, theirs - mine
+    if rank is not None:
+        ours, others = map(rank, ours), map(rank, others)
+    ours, others = sorted(ours), sorted(others)
+    size = max(len(ours), len(others))
+    return ours + [None] * (size - len(ours)), others + [None] * (size - len(others))
+
+
 def validate_correspondence(
     inst: Instance, m: Matching, n: Matching, corr: Correspondence
 ) -> None:
-    """Raise ValueError unless corr is a correspondence for (m, n)."""
+    """Raise ValueError unless corr is a correspondence for (m, n).
+
+    Each side of v's pairs must hold, as a multiset, exactly that side of
+    v's padded partner-set difference: the same real partners, each once,
+    and the same number of bottoms.  Bottoms pad only the shorter side, so
+    no (bottom, bottom) pair passes.
+    """
     unknown = set(corr.pairs) - set(inst.all_vertices())
     if unknown:
         raise ValueError(f"correspondence mentions unknown vertices: {unknown}")
     for v in inst.all_vertices():
-        mine, theirs = m.partners(v), n.partners(v)
-        left_real = mine - theirs
-        right_real = theirs - mine
         listed = corr.pairs.get(v, ())
-        xs = [x for x, _ in listed if x is not None]
-        ys = [y for _, y in listed if y is not None]
-        if sorted(xs) != sorted(left_real) or sorted(ys) != sorted(right_real):
-            raise ValueError(
-                f"correspondence at {inst.name(v)} does not cover the "
-                f"partner-set difference exactly once"
-            )
-        left_bottoms = sum(1 for x, _ in listed if x is None)
-        right_bottoms = sum(1 for _, y in listed if y is None)
-        if left_bottoms != max(0, len(right_real) - len(left_real)):
-            raise ValueError(
-                f"wrong number of left bottoms at {inst.name(v)}: the x side "
-                f"pads with exactly its shortfall in differing partners"
-            )
-        if right_bottoms != max(0, len(left_real) - len(right_real)):
-            raise ValueError(
-                f"wrong number of right bottoms at {inst.name(v)}: the y side "
-                f"pads with exactly its shortfall in differing partners"
-            )
+        reals = (
+            sorted([x for x, _ in listed if x is not None]),
+            sorted([y for _, y in listed if y is not None]),
+        )
+        padded = _padded_difference(m.partners(v), n.partners(v))
+        for side, real, want in zip("xy", reals, padded):
+            # This side as the helper lists it: sorted, bottoms last.
+            if real + [None] * (len(listed) - len(real)) != want:
+                raise ValueError(
+                    f"correspondence at {inst.name(v)} does not list the {side} "
+                    f"side of its partner-set difference exactly once, with "
+                    f"bottoms padding only the shorter side"
+                )
 
 
 def delta(inst: Instance, m: Matching, n: Matching, corr: Correspondence) -> int:
@@ -240,23 +259,22 @@ def vertex_gain(
 ) -> int:
     """Best vote total v can cast for partner set new_side over old_side.
 
-    The smaller partner-set difference is padded with bottoms up to the
-    larger one: a vertex gaining positions plays the surplus new partners
-    against bottom, a vertex losing positions plays bottom against the
-    departed ones, and no bottom-versus-bottom pairs exist.  With both
-    lists sorted worst first, each gained partner takes the worst lost
-    partner it still beats, which yields the most wins over all bijections.
+    The two partner-set differences are ranked and padded by
+    ``_padded_difference``: a vertex gaining positions plays the surplus new
+    partners against bottom, a vertex losing positions plays bottom against
+    the departed ones, and no bottom-versus-bottom pairs exist.  Both lists
+    run best first with bottoms last.  Taking the lost partners best first,
+    each is beaten by the best gained partner left if by any, and pairing
+    the two leaves the rest free for the worse lost partners that follow,
+    which yields the most wins over all bijections.
     """
-    gained = sorted((inst.rank(v, u) for u in new_side - old_side), reverse=True)
-    lost = sorted((inst.rank(v, u) for u in old_side - new_side), reverse=True)
-    size = max(len(gained), len(lost))
-    gained = [_UNRANKED] * (size - len(gained)) + gained
-    lost = [_UNRANKED] * (size - len(lost)) + lost
+    gained, lost = _padded_difference(new_side, old_side, partial(inst.rank, v))
     wins = 0
-    for r in gained:
-        if r < lost[wins]:
+    for r in lost:
+        g = gained[wins]
+        if g is not None and (r is None or g < r):
             wins += 1
-    return 2 * wins - size
+    return 2 * wins - len(gained)
 
 
 def random_correspondence(
@@ -265,14 +283,9 @@ def random_correspondence(
     """A uniformly shuffled correspondence for (m, n), driven by rng."""
     out: dict[VertexId, tuple[CorrPair, ...]] = {}
     for v in inst.all_vertices():
-        mine, theirs = m.partners(v), n.partners(v)
-        if mine == theirs:
+        rows, cols = _padded_difference(m.partners(v), n.partners(v))
+        if not rows:
             continue
-        rows: list[Optional[VertexId]] = sorted(mine - theirs)
-        cols: list[Optional[VertexId]] = sorted(theirs - mine)
-        size = max(len(rows), len(cols))
-        rows += [None] * (size - len(rows))
-        cols += [None] * (size - len(cols))
         rng.shuffle(cols)
         out[v] = tuple(zip(rows, cols))
     return Correspondence(out)

@@ -68,6 +68,13 @@ class Instance:
     def name(self, v: VertexId) -> str:
         return (self.a_names if v.side is Side.A else self.b_names)[v.index]
 
+    def label(self, v: VertexId) -> str:
+        """v's name, or its side and index when v lies outside the instance,
+        so that an error message about a stray id can itself be built."""
+        if v in self._ranks:
+            return self.name(v)
+        return f"unknown vertex {v.side.value}[{v.index}]"
+
     def quotas(self, v: VertexId) -> Quotas:
         return (self.a_quotas if v.side is Side.A else self.b_quotas)[v.index]
 
@@ -83,13 +90,14 @@ class Instance:
     def rank(self, v: VertexId, u: VertexId) -> int:
         """Position of u in v's preference list (0 is best).
 
-        Raises ValueError when u is not acceptable to v.
+        Raises ValueError when u is not acceptable to v, also when either
+        lies outside the instance.
         """
         try:
             return self._ranks[v][u]
         except KeyError:
             raise ValueError(
-                f"{self.name(u)} is not on the preference list of {self.name(v)}"
+                f"{self.label(u)} is not on the preference list of {self.label(v)}"
             ) from None
 
     def degree(self, v: VertexId) -> int:

@@ -261,40 +261,38 @@ def check_output_properties(inst: Instance, leveled: LeveledMatching) -> list[st
     for a, b in sorted(inst.edges - m.pairs):
         name = f"({inst.name(a)}, {inst.name(b)})"
         matched_a = m.partners(a)
-        copies_at_b = [
-            (other, leveled.levels[(other, b)]) for other in sorted(m.partners(b))
-        ]
+        levels_at_b = [leveled.levels[(other, b)] for other in m.partners(b)]
         peak = leveled.max_level.get(a, 0)
         if len(matched_a) > inst.lower(a) and peak > t + 1:
             violations.append(
                 f"{name}: surplus proposer climbed to level {peak} past {t + 1}"
             )
-        if any(x < t for _, x in copies_at_b) and len(copies_at_b) > inst.lower(b):
+        if any(x < t for x in levels_at_b) and len(levels_at_b) > inst.lower(b):
             violations.append(
                 f"{name}: receiver with a sub-{t} partner holds more than its "
                 f"lower quota"
             )
         if len(matched_a) < inst.upper(a):
-            if len(copies_at_b) < inst.upper(b):
+            if len(levels_at_b) < inst.upper(b):
                 violations.append(
                     f"{name}: proposer under upper quota but receiver not full"
                 )
-            if any(x < t + 1 for _, x in copies_at_b):
+            if any(x < t + 1 for x in levels_at_b):
                 violations.append(
                     f"{name}: proposer under upper quota but receiver keeps a "
                     f"copy below level {t + 1}"
                 )
         if len(matched_a) < inst.lower(a):
-            if len(copies_at_b) < inst.upper(b):
+            if len(levels_at_b) < inst.upper(b):
                 violations.append(
                     f"{name}: deficient proposer but receiver not full"
                 )
-            if any(x != s + t + 1 for _, x in copies_at_b):
+            if any(x != s + t + 1 for x in levels_at_b):
                 violations.append(
                     f"{name}: deficient proposer but receiver keeps a copy "
                     f"below the top level"
                 )
-        if peak > 1 and any(x < peak - 1 for _, x in copies_at_b):
+        if peak > 1 and any(x < peak - 1 for x in levels_at_b):
             violations.append(
                 f"{name}: receiver keeps a copy more than one level below the "
                 f"proposer's peak {peak}"

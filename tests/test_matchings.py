@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -33,6 +34,7 @@ from popcrit import (
 )
 
 from conftest import DATA, all_correspondences, run_python
+from reference_correspondence import reference_validate_correspondence
 
 
 def _load(inst, name):
@@ -110,6 +112,17 @@ def test_check_matching_rejects_side_swap(short_supply):
     bad = Matching(frozenset({(VertexId(Side.B, 0), VertexId(Side.A, 0))}))
     with pytest.raises(MatchingError):
         check_matching(short_supply, bad)
+
+
+def test_pairs_naming_unknown_vertices_raise_a_matching_error(short_supply):
+    m2 = _load(short_supply, "short_supply_m2.match")
+    for a, b in [(9, 0), (0, 9), (9, 9)]:
+        bad = Matching(frozenset({(VertexId(Side.A, a), VertexId(Side.B, b))}))
+        for check in (check_matching, deficiency, blocking_pairs):
+            with pytest.raises(MatchingError, match="not an edge"):
+                check(short_supply, bad)
+        with pytest.raises(MatchingError, match="not an edge"):
+            max_delta(short_supply, m2, bad)
 
 
 def test_blocking_pairs_on_reference_matchings(short_supply):
@@ -281,11 +294,93 @@ def test_import_loads_neither_numpy_nor_scipy():
 PROPERTY_SETTINGS = settings(max_examples=80, deadline=None)
 
 
-def _instance_and_rng(seed):
+def _seeded_instance_and_rng(seed):
     params = GenParams(n_a=3, n_b=3, max_upper=3, edge_density=0.6, seed=seed)
-    inst = generate_random_instance(params)
+    return generate_random_instance(params), random.Random(seed ^ 0xA5)
+
+
+def _instance_and_rng(seed):
+    inst, rng = _seeded_instance_and_rng(seed)
     assume(len(inst.edges) >= 1)
-    return inst, random.Random(seed ^ 0xA5)
+    return inst, rng
+
+
+def _seeded_rival_pair(seed):
+    """A small seeded instance, two of its matchings and the rng that drew
+    them; the matchings may be empty or equal."""
+    inst, rng = _seeded_instance_and_rng(seed)
+    ms = list(enumerate_matchings(inst))
+    return inst, rng, rng.choice(ms), rng.choice(ms)
+
+
+def _mutations(inst, corr):
+    """Every one-step edit of corr: a pair dropped, duplicated or with its
+    ends swapped, either end of a pair replaced by any vertex or bottom, and
+    a (bottom, bottom) or one-sided pair added at any vertex."""
+    ends = [None, *inst.all_vertices()]
+    for v in inst.all_vertices():
+        listed = list(corr.pairs.get(v, ()))
+        edits = []
+        for i, (x, y) in enumerate(listed):
+            before, after = listed[:i], listed[i + 1 :]
+            edits += [before + after, listed + [(x, y)], before + [(y, x)] + after]
+            for u in ends:
+                edits += [before + [(u, y)] + after, before + [(x, u)] + after]
+        edits += [listed + [(u, None)] for u in ends]
+        edits += [listed + [(None, u)] for u in ends[1:]]
+        for edit in edits:
+            yield Correspondence({**corr.pairs, v: tuple(edit)})
+
+
+def _accepts(check, inst, m, n, corr) -> bool:
+    try:
+        check(inst, m, n, corr)
+    except ValueError:
+        return False
+    return True
+
+
+def test_correspondence_check_agrees_with_the_written_out_reference():
+    verdicts = {True: 0, False: 0}
+    for seed in range(80):
+        inst, rng, m, n = _seeded_rival_pair(seed)
+        for first, second in ((m, n), (n, m)):
+            corr = random_correspondence(inst, first, second, rng)
+            for mutant in _mutations(inst, corr):
+                want = _accepts(
+                    reference_validate_correspondence, inst, first, second, mutant
+                )
+                got = _accepts(validate_correspondence, inst, first, second, mutant)
+                assert got == want, (seed, mutant)
+                verdicts[want] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 10_000, verdicts
+
+
+# sha256 of the random correspondences below, written out as names.  The
+# benchmark's audit workload reads its delta values from such draws, so
+# the order in which random_correspondence draws from the rng is pinned.
+RANDOM_CORRESPONDENCE_DIGEST = (
+    "f0e4d898d6825c069d3fbddc0465612d3ce9511eb975a6861211d8a8413f5c95"
+)
+
+
+def test_random_correspondence_draws_are_pinned():
+    def name(u):
+        return "-" if u is None else inst.name(u)
+
+    lines = []
+    for seed in range(200):
+        inst, rng, m, n = _seeded_rival_pair(seed)
+        for first, second in ((m, n), (n, m), (m, n)):
+            corr = random_correspondence(inst, first, second, rng)
+            lines.append(
+                " ".join(
+                    name(v) + ":" + ",".join(f"{name(x)}/{name(y)}" for x, y in listed)
+                    for v, listed in corr.pairs.items()
+                )
+            )
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_CORRESPONDENCE_DIGEST
 
 
 @PROPERTY_SETTINGS

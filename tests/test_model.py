@@ -58,6 +58,19 @@ def test_rank_and_degree(short_supply):
         short_supply.rank(VertexId(Side.B, 0), VertexId(Side.A, 2))
 
 
+@pytest.mark.parametrize(
+    "v, u, message",
+    [
+        ((Side.A, 0), (Side.B, 99), r"unknown vertex B\[99\] is not .* of a1$"),
+        ((Side.A, 9), (Side.B, 0), r"^b1 is not .* of unknown vertex A\[9\]$"),
+        ((Side.B, -1), (Side.A, 0), r"^a1 is not .* of unknown vertex B\[-1\]$"),
+    ],
+)
+def test_rank_of_an_unknown_vertex_raises_a_value_error(short_supply, v, u, message):
+    with pytest.raises(ValueError, match=message):
+        short_supply.rank(VertexId(*v), VertexId(*u))
+
+
 def test_serialize_parse_round_trip(short_supply):
     again = parse_instance(serialize_instance(short_supply))
     assert again == short_supply
