@@ -11,9 +11,11 @@ current partners, so any rival matching mapped onto the clones has total
 weight equal to its vote advantage.  The weights depend only on the lift,
 so the graph keeps no pair: every edge, lifted or not, lies in one block
 of a table, a product of two groups of vertices each offered one rank,
-and its weight is the two ends' votes for those ranks (see
-``CloneEdges``).  Each real edge (a, b) stands for upper(a)·upper(b) clone
-pairs, and the verifier checks them by classes of equal values.
+and its weight is the two ends' votes for those ranks against the ranks
+they hold (see ``CloneEdges``).  Each real edge (a, b) stands for
+upper(a)·upper(b) clone pairs.  The verifier reads each block as stored,
+its two sides and their two offers, and checks its pairs by classes of
+equal values, working out each member's vote as it forms the classes.
 
 Popularity then reduces to a linear-programming fact: the closed-form
 dual assignment below is feasible for the maximum-weight perfect-matching
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .matchings import (
     _UNRANKED,
@@ -100,18 +102,6 @@ def _block_key(u: CloneId, w: CloneId) -> tuple:
 _Entry = tuple[dict[CloneId, float], float, dict[CloneId, float], float]
 
 
-class Block(NamedTuple):
-    """The edges left × right, each of canonical orientation.  The pair
-    (left[i], right[j]) weighs left_terms[i] + right_terms[j]."""
-
-    left: Collection[CloneId]
-    left_terms: list[int]
-    right: Collection[CloneId]
-    right_terms: list[int]
-    # Set on clone–clone blocks, whose pairs are true edges.
-    true_edges: bool
-
-
 class CloneEdges(Mapping[CloneEdge, int]):
     """The edges of a cloned graph, each canonical edge (A-side partition
     first) mapped to its weight.
@@ -133,10 +123,10 @@ class CloneEdges(Mapping[CloneEdge, int]):
     the block offers against what they hold (``matchings._rank_vote``): a
     clone gives up a real partner at -1, and a dummy or last-resort votes 0.
 
-    Iteration yields the table block by block in the order above (see
-    ``blocks``).  No caller depends on that order: ``verify_certificate``
-    sorts its failures by edge.  ``len`` is counted when the mapping is
-    built.
+    Iteration yields the edges block by block in the order above, and
+    ``blocks`` hands out the table's entries themselves, offers and all.
+    No caller depends on that order: ``verify_certificate`` sorts its
+    failures by edge.  ``len`` is counted when the mapping is built.
     """
 
     __slots__ = ("_table", "_size")
@@ -145,17 +135,13 @@ class CloneEdges(Mapping[CloneEdge, int]):
         self._table = table
         self._size = sum(len(left) * len(right) for left, _, right, _ in table.values())
 
-    def blocks(self) -> Iterator[Block]:
-        """Every edge, lifted pairs included, once, as blocks."""
-        for left, left_offer, right, right_offer in self._table.values():
-            yield Block(
-                left,
-                [_rank_vote(held, left_offer) for held in left.values()],
-                right,
-                [_rank_vote(held, right_offer) for held in right.values()],
-                # Only a real edge's block offers real ranks.
-                left_offer < _UNRANKED,
-            )
+    def blocks(self) -> Iterator[_Entry]:
+        """Every edge, lifted pairs included, once, as the table's entries
+        (left, left_offer, right, right_offer), as they were stored: the
+        edges left × right, each of canonical orientation.  The pair (u, w)
+        weighs ``_rank_vote(left[u], left_offer) + _rank_vote(right[w],
+        right_offer)``, and only a real edge's block offers real ranks."""
+        return iter(self._table.values())
 
     def __getitem__(self, e: CloneEdge) -> int:
         try:
@@ -433,13 +419,15 @@ def _pair_failures(
 
 
 def _classes(
-    members: Collection[CloneId], terms: list[int],
+    members: Mapping[CloneId, float], offer: float,
     alpha: Mapping[CloneId, int], level: Mapping[CloneId, int],
 ) -> dict[tuple[int, int, int], list[CloneId]]:
-    """One side of a block, its members grouped by (alpha, term, level)."""
+    """One side of a block, its members grouped by (alpha, term, level),
+    where a member's term is its vote for the offer against the rank it
+    holds."""
     classes: dict[tuple[int, int, int], list[CloneId]] = {}
-    for u, term in zip(members, terms):
-        classes.setdefault((alpha[u], term, level[u]), []).append(u)
+    for u, held in members.items():
+        classes.setdefault((alpha[u], _rank_vote(held, offer), level[u]), []).append(u)
     return classes
 
 
@@ -454,14 +442,17 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     the same level and exactly -2 one level down.  The weights are the ones
     ``g.edges`` gives.
 
-    Every edge lies in one block (``CloneEdges.blocks``), and its checks
-    other than tightness (``_pair_failures``) read it only through each
-    end's alpha, weight term and level, and the block's true-edge flag.  So
-    each side of a block is grouped into classes of members equal in those
-    three values, the checks run once per pair of classes, and a failing
-    pair of classes names each pair of its members.  Tightness is checked
-    on the lift.  The failures name the same edges, in the same order, as a
-    check of every pair would.
+    Every edge lies in one block (``CloneEdges.blocks``): two sides, each
+    offered one rank.  An edge weighs the sum of its ends' terms, each
+    end's vote for its side's offer against the rank it holds, and it is a
+    true edge when the block offers real ranks.  Its checks other than
+    tightness (``_pair_failures``) read it only through each end's alpha,
+    term and level, and that flag.  So each side of a block is grouped into
+    classes of members equal in those three values, each term worked out
+    as its member is grouped; the checks run once per pair of classes, and
+    a failing pair of classes names each pair of its members.  Tightness is
+    checked on the lift.  The failures name the same edges, in the same
+    order, as a check of every pair would.
     """
     alpha, level = cert.alpha, g.level
     failures: list[str] = []
@@ -486,12 +477,14 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     # and stably, so each edge keeps its checks in the order they ran:
     # tightness, checked after the blocks, comes last.
     edge_failures: list[tuple[CloneEdge, str, str]] = []
-    for left, fs, right, hs, true_edges in g.edges.blocks():
-        rights = _classes(right, hs, alpha, level)
-        for (alpha_u, f, x), us in _classes(left, fs, alpha, level).items():
+    for left, left_offer, right, right_offer in g.edges.blocks():
+        # Only a real edge's block offers real ranks.
+        true_edge = left_offer < _UNRANKED
+        rights = _classes(right, right_offer, alpha, level)
+        for (alpha_u, f, x), us in _classes(left, left_offer, alpha, level).items():
             for (alpha_w, h, y), ws in rights.items():
                 for check, message in _pair_failures(
-                    alpha_u + alpha_w, f + h, x, y, true_edges
+                    alpha_u + alpha_w, f + h, x, y, true_edge
                 ):
                     edge_failures.extend(
                         ((u, w), check, message.format(label(u, w)))

@@ -6,9 +6,9 @@ certificate), ``verify`` audits a matching file against an instance,
 ``oracle`` compares the solver against exhaustive enumeration, ``gen``
 writes a random instance and ``trace`` replays a recorded proposal trace.
 
-Exit codes: 0 on success, 1 for any parse, validation or usage error, 2
-when a verification disagrees (certificate FAIL, oracle mismatch, trace
-mismatch).
+Exit codes: 0 on success, 1 for any parse, validation or usage error and
+when memory runs out, 2 when a verification disagrees (certificate FAIL,
+oracle mismatch, trace mismatch).
 """
 
 from __future__ import annotations
@@ -241,12 +241,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except MemoryError:
+        # A backstop: a MemoryError usually carries no message.
+        print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -13,16 +13,22 @@ from popcrit import Correspondence, Instance, parse_instance
 DATA = Path(__file__).parent / "data"
 
 
-def run_python(code: str, *flags: str) -> str:
-    """Run code in a fresh interpreter that imports popcrit from this
-    checkout, and return its stripped standard output."""
+def run_interpreter(*args: str) -> subprocess.CompletedProcess[str]:
+    """Run a fresh interpreter that imports popcrit from this checkout,
+    capturing its output as text."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, *flags, "-c", code],
-        env=env, capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True
     )
+
+
+def run_python(code: str, *flags: str) -> str:
+    """Run code in a fresh interpreter that imports popcrit from this
+    checkout, and return its stripped standard output."""
+    out = run_interpreter(*flags, "-c", code)
+    out.check_returncode()
     return out.stdout.strip()
 
 

@@ -36,6 +36,7 @@ from popcrit import (
     verify_certificate,
     vote,
 )
+from popcrit.matchings import _UNRANKED, _rank_vote
 
 from conftest import DATA, all_correspondences, run_python
 from reference_assignment import max_covering_weight
@@ -299,7 +300,8 @@ def test_blocks_cover_every_edge_once(
     short_supply_graph, capacity_switch_graph, high_quota_graph, deficient_graph
 ):
     # The verifier checks edges only through their blocks, lifted pairs
-    # included, and reads a true edge from the block's flag.
+    # included, weighs each end by its vote for its side's offer, and reads
+    # a true edge from a block that offers real ranks.
     generated = []
     for seed in range(3):
         inst = generate_random_instance(
@@ -309,12 +311,16 @@ def test_blocks_cover_every_edge_once(
     fixtures = [short_supply_graph, capacity_switch_graph, high_quota_graph, deficient_graph]
     for g in fixtures + generated:
         weights = {}
-        for left, fs, right, hs, true_edges in g.edges.blocks():
-            for u, f in zip(left, fs):
-                for w, h in zip(right, hs):
+        for left, left_offer, right, right_offer in g.edges.blocks():
+            for u, held_u in left.items():
+                for w, held_w in right.items():
                     assert (u, w) not in weights
-                    assert true_edges == (u.kind is w.kind is CloneKind.CLONE)
-                    weights[(u, w)] = f + h
+                    assert (left_offer < _UNRANKED) == (
+                        u.kind is w.kind is CloneKind.CLONE
+                    )
+                    weights[(u, w)] = (
+                        _rank_vote(held_u, left_offer) + _rank_vote(held_w, right_offer)
+                    )
         assert weights == dict(g.edges.items())
         assert all(g.canonical(u, w) in weights for u, w in g.mstar.items())
 

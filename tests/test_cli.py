@@ -7,7 +7,7 @@ import pytest
 from popcrit import DualCertificate, dual_assignment
 from popcrit.cli import main
 
-from conftest import DATA
+from conftest import DATA, run_interpreter
 
 SHORT_SUPPLY = str(DATA / "short_supply.inst")
 CAPACITY_SWITCH = str(DATA / "capacity_switch.inst")
@@ -133,6 +133,23 @@ def test_gen_to_stdout_then_solve(tmp_path, capsys):
     assert main(["solve", str(path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n-a", "0", "need at least one vertex on each side"),
+        ("--n-b", "0", "need at least one vertex on each side"),
+        ("--max-upper", "0", "max_upper must be at least 1"),
+        ("--lq-fraction", "1.5", "lq_fraction must lie in [0, 1]"),
+        ("--edge-density", "0", "edge_density must lie in (0, 1]"),
+    ],
+)
+def test_gen_refuses_a_bad_parameter(flag, value, message, capsys):
+    assert main(["gen", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_trace_replay_matches(tmp_path, capsys):
     assert main(["trace", SHORT_SUPPLY, str(DATA / "short_supply_trace.csv")]) == 0
     assert capsys.readouterr().out == "MATCH 31 proposals\n"
@@ -163,6 +180,37 @@ def test_trace_with_an_oversized_field_exits_one(tmp_path, capsys):
 def test_missing_file_exits_one(capsys):
     assert main(["solve", "no_such_file.inst"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_running_out_of_memory_exits_one(monkeypatch, capsys):
+    # The command is replaced, so no memory is actually exhausted.
+    def exhausted(inst):
+        raise MemoryError
+
+    monkeypatch.setattr("popcrit.cli.solve", exhausted)
+    assert main(["solve", SHORT_SUPPLY]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
+def test_the_module_runs_as_a_program_with_each_exit_code(tmp_path):
+    def run(*argv):
+        return run_interpreter("-m", "popcrit.cli", *argv)
+
+    solved = run("solve", SHORT_SUPPLY)
+    assert solved.returncode == 0
+    assert solved.stdout.endswith("# proposals 31\n")
+    missing = run("solve", str(tmp_path / "missing.inst"))
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("error:")
+    tampered = tmp_path / "tampered.csv"
+    tampered.write_text(
+        (DATA / "short_supply_trace.csv").read_text().replace("b1", "b2", 1)
+    )
+    replayed = run("trace", SHORT_SUPPLY, str(tampered))
+    assert replayed.returncode == 2
+    assert replayed.stdout.startswith("MISMATCH at proposal ")
 
 
 def test_invalid_matching_exits_one(tmp_path, capsys):

@@ -123,6 +123,26 @@ def test_validate_reports_an_out_of_range_same_side_preference(short_supply):
     assert validate_instance(inst).violations == ["preference out of range on a1"]
 
 
+def test_validate_reports_every_fault_parse_instance_refuses(short_supply):
+    # parse_instance stops at the first of these faults, so only an
+    # Instance built in code reaches validate_instance with all four.
+    b_prefs = list(short_supply.b_prefs)
+    b_prefs[1] += (VertexId(Side.A, 2),)
+    inst = dataclasses.replace(
+        short_supply,
+        a_names=("a1", "a1", "a3"),
+        a_quotas=(Quotas(1, 2), Quotas(2, 2), Quotas(-1, 1)),
+        b_quotas=(Quotas(2, 1), Quotas(1, 2)),
+        b_prefs=tuple(b_prefs),
+    )
+    assert validate_instance(inst).violations == [
+        "duplicate vertex name a1",
+        "negative quota on a3",
+        "lower quota 2 exceeds upper quota 1 on b1",
+        "duplicate preference entry on b2",
+    ]
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = "# instance\nA a1 0 1  # trailing\n\nB b1 0 1\nPREF a1 b1\nPREF b1 a1\n"
     inst = parse_instance(text)

@@ -241,17 +241,58 @@ def test_solve_without_edges_returns_empty_matching():
     assert trace.proposal_count == 0
 
 
-def test_output_property_check_flags_tampering(short_supply):
-    leveled, _ = solve(short_supply)
-    lowered = dict(leveled.levels)
-    lowered[(A(0), B(0))] = 5
-    tampered = dataclasses.replace(leveled, levels=lowered)
-    assert any("top level" in v for v in check_output_properties(short_supply, tampered))
+# One planted edit per violation message of check_output_properties: an
+# edge's new level (None drops the edge) or a proposer's new peak.  In
+# short_supply s = 4 and t = 1; in capacity_switch s = 5 and t = 2.
+TAMPERINGS = [
+    (
+        "capacity_switch", {}, {"a4": 4},
+        "(a4, b1): surplus proposer climbed to level 4 past 3",
+    ),
+    (
+        "capacity_switch", {("a2", "b1"): 1}, {},
+        "(a4, b1): receiver with a sub-2 partner holds more than its lower quota",
+    ),
+    (
+        "capacity_switch", {("a1", "b3"): None}, {},
+        "(a2, b3): proposer under upper quota but receiver not full",
+    ),
+    (
+        "capacity_switch", {("a2", "b2"): 2}, {},
+        "(a3, b2): proposer under upper quota but receiver keeps a copy below level 3",
+    ),
+    (
+        "short_supply", {("a1", "b1"): None}, {},
+        "(a2, b1): deficient proposer but receiver not full",
+    ),
+    (
+        "short_supply", {("a1", "b1"): 5}, {},
+        "(a2, b1): deficient proposer but receiver keeps a copy below the top level",
+    ),
+    (
+        "short_supply", {}, {"a1": 7},
+        "(a1, b2): receiver keeps a copy more than one level below the proposer's peak 7",
+    ),
+]
 
-    peaks = dict(leveled.max_level)
-    peaks[A(0)] = 7
-    tampered = dataclasses.replace(leveled, max_level=peaks)
-    assert any("peak 7" in v for v in check_output_properties(short_supply, tampered))
+
+def test_output_property_check_flags_tampering(short_supply, capacity_switch):
+    instances = {"short_supply": short_supply, "capacity_switch": capacity_switch}
+    for fixture, levels, peaks, message in TAMPERINGS:
+        inst = instances[fixture]
+        ids = inst.name_to_id
+        leveled, _ = solve(inst)
+        assert check_output_properties(inst, leveled) == []
+        edited = dict(leveled.levels)
+        for (a, b), level in levels.items():
+            if level is None:
+                del edited[(ids[a], ids[b])]
+            else:
+                edited[(ids[a], ids[b])] = level
+        max_level = dict(leveled.max_level)
+        max_level.update((ids[a], peak) for a, peak in peaks.items())
+        tampered = dataclasses.replace(leveled, levels=edited, max_level=max_level)
+        assert message in check_output_properties(inst, tampered), message
 
 
 def test_trace_round_trip(capacity_switch):
