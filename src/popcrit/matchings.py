@@ -15,6 +15,14 @@ kernel ``vertex_gain`` all read.  ``delta`` totals the votes for a given
 correspondence and ``max_delta`` maximizes over all correspondences, one
 vertex at a time.
 
+``Matching`` and ``Correspondence`` cannot change once built, and each
+remembers, by weak reference, the argument objects it last passed its check
+with (``check_matching``, ``validate_correspondence``).  Every public entry
+point still checks its inputs, but a check already passed with the very
+same objects returns at once, so an audit that hands one rival and one
+correspondence to several functions checks each once.  The rule is stated
+once, in ``_passed`` and ``_pass``.
+
 No pair ever ties: preference lists are strict, the gained and lost
 partner sets are disjoint, and bottom pads only one side.  So a vertex
 pairing k positions casts 2*wins - k, and its best total comes from the
@@ -24,8 +32,10 @@ most wins, which a sort-and-count greedy finds exactly.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 from .model import Instance, Side, VertexId
@@ -38,11 +48,45 @@ class MatchingError(ValueError):
     """Raised for malformed matching text or pairs violating the instance."""
 
 
+# The key under which a checked object keeps the argument objects it last
+# passed its check with.
+_PASSED_WITH = "_passed_with"
+
+
+def _passed(obj, *args) -> bool:
+    """Whether obj last passed its check with exactly these argument
+    objects.  They are held by weak reference, and a dead reference yields
+    None, so an object made later at a recycled address cannot pass."""
+    refs = obj.__dict__.get(_PASSED_WITH, ())
+    return len(refs) == len(args) and all(r() is a for r, a in zip(refs, args))
+
+
+def _pass(obj, *args) -> None:
+    """Record that obj passed its check with these argument objects.  This
+    is sound only because obj and the arguments cannot change: matchings
+    and correspondences copy what they are given, and an Instance is
+    immutable data."""
+    obj.__dict__[_PASSED_WITH] = tuple(map(weakref.ref, args))
+
+
 @dataclass(frozen=True)
 class Matching:
-    """An immutable set of (a, b) edges."""
+    """An immutable set of (a, b) edges.
+
+    ``pairs`` is stored as a frozenset whatever iterable is passed, so a
+    matching that passed ``check_matching`` stays valid for that instance.
+    """
 
     pairs: frozenset[Edge]
+
+    def __post_init__(self) -> None:
+        # frozenset() returns a frozenset argument itself, so this is free
+        # for every caller in the package.
+        object.__setattr__(self, "pairs", frozenset(self.pairs))
+
+    def __reduce__(self):
+        # A copy is built afresh, without the weak references of _pass.
+        return Matching, (self.pairs,)
 
     @cached_property
     def _partners(self) -> dict[VertexId, frozenset[VertexId]]:
@@ -62,19 +106,30 @@ class Matching:
 
 def check_matching(inst: Instance, m: Matching) -> None:
     """Raise MatchingError unless every pair is an edge and no upper quota
-    is exceeded."""
-    for a, b in m.pairs:
+    is exceeded.
+
+    Of several bad pairs the least is reported, so the message does not
+    depend on the hash seed.  m remembers the instance it last passed
+    with, and a repeat check against that same object returns at once.
+    """
+    if _passed(m, inst):
+        return
+    # Every edge of the instance is an (A-vertex, B-vertex) pair, so this
+    # one difference also holds every pair on the wrong sides.
+    stray = m.pairs - inst.edges
+    if stray:
+        a, b = min(stray)
         if a.side is not Side.A or b.side is not Side.B:
             raise MatchingError("matching pairs must be (A-vertex, B-vertex)")
-        if (a, b) not in inst.edges:
-            raise MatchingError(
-                f"({inst.label(a)}, {inst.label(b)}) is not an edge of the instance"
-            )
+        raise MatchingError(
+            f"({inst.label(a)}, {inst.label(b)}) is not an edge of the instance"
+        )
     for v in inst.all_vertices():
         if len(m.partners(v)) > inst.upper(v):
             raise MatchingError(
                 f"{inst.name(v)} is matched above its upper quota {inst.upper(v)}"
             )
+    _pass(m, inst)
 
 
 @dataclass(frozen=True)
@@ -172,9 +227,23 @@ class Correspondence:
     multiset, that side of ``_padded_difference(M(v), N(v))``, the one
     place this rule is stated.  Vertices with identical partner sets may be
     omitted.
+
+    ``pairs`` is stored as a read-only copy (a ``MappingProxyType`` of
+    per-vertex tuples of pair tuples), so a correspondence that passed
+    ``validate_correspondence`` stays valid for those arguments, and a
+    later change to the mapping passed in does not reach it.
     """
 
     pairs: Mapping[VertexId, tuple[CorrPair, ...]]
+
+    def __post_init__(self) -> None:
+        frozen = {v: tuple(map(tuple, listed)) for v, listed in self.pairs.items()}
+        object.__setattr__(self, "pairs", MappingProxyType(frozen))
+
+    def __reduce__(self):
+        # A copy is built afresh: neither the weak references of _pass nor
+        # a mappingproxy can be pickled.
+        return Correspondence, (dict(self.pairs),)
 
 
 def _padded_difference(
@@ -202,11 +271,16 @@ def validate_correspondence(
     Each side of v's pairs must hold, as a multiset, exactly that side of
     v's padded partner-set difference: the same real partners, each once,
     and the same number of bottoms.  Bottoms pad only the shorter side, so
-    no (bottom, bottom) pair passes.
+    no (bottom, bottom) pair passes.  Unknown vertices are listed sorted.
+    corr remembers the (inst, m, n) it last passed with, and a repeat check
+    with those same objects returns at once.
     """
+    if _passed(corr, inst, m, n):
+        return
     unknown = set(corr.pairs) - set(inst.all_vertices())
     if unknown:
-        raise ValueError(f"correspondence mentions unknown vertices: {unknown}")
+        names = ", ".join(map(repr, sorted(unknown)))
+        raise ValueError(f"correspondence mentions unknown vertices: {{{names}}}")
     for v in inst.all_vertices():
         listed = corr.pairs.get(v, ())
         reals = (
@@ -222,6 +296,7 @@ def validate_correspondence(
                     f"side of its partner-set difference exactly once, with "
                     f"bottoms padding only the shorter side"
                 )
+    _pass(corr, inst, m, n)
 
 
 def delta(inst: Instance, m: Matching, n: Matching, corr: Correspondence) -> int:

@@ -220,6 +220,28 @@ def test_invalid_matching_exits_one(tmp_path, capsys):
     assert "not an edge" in capsys.readouterr().err
 
 
+def test_an_invalid_matching_is_reported_alike_under_every_hash_seed(
+    tmp_path, monkeypatch
+):
+    # Each vertex accepts only its own partner, and the matching pairs
+    # every vertex with another's: three bad pairs, so a message naming
+    # whichever comes first in set order would change with the hash seed.
+    inst = tmp_path / "own.inst"
+    inst.write_text(
+        "".join(f"A a{i} 0 1\nB b{i} 0 1\n" for i in (1, 2, 3))
+        + "".join(f"PREF a{i} b{i}\nPREF b{i} a{i}\n" for i in (1, 2, 3))
+    )
+    bad = tmp_path / "crossed.match"
+    bad.write_text("a1 b2\na2 b3\na3 b1\n")
+    errors = set()
+    for seed in range(8):
+        monkeypatch.setenv("PYTHONHASHSEED", str(seed))
+        out = run_interpreter("-m", "popcrit.cli", "verify", str(inst), str(bad))
+        assert out.returncode == 1
+        errors.add(out.stderr)
+    assert errors == {"error: (a1, b2) is not an edge of the instance\n"}
+
+
 def test_invalid_instance_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.inst"
     bad.write_text("A a1 2 1\nB b1 0 1\nPREF a1 b1\nPREF b1 a1\n")

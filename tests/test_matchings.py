@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,6 +17,7 @@ from popcrit import (
     GenParams,
     Matching,
     MatchingError,
+    Quotas,
     Side,
     VertexId,
     blocking_pairs,
@@ -341,19 +345,137 @@ def _accepts(check, inst, m, n, corr) -> bool:
 
 
 def test_correspondence_check_agrees_with_the_written_out_reference():
+    # Each mutant is checked right after its unmutated original has passed
+    # with the same arguments, and then once more, so a check that
+    # remembered a pass by anything but the very objects would show.
     verdicts = {True: 0, False: 0}
     for seed in range(80):
         inst, rng, m, n = _seeded_rival_pair(seed)
         for first, second in ((m, n), (n, m)):
             corr = random_correspondence(inst, first, second, rng)
             for mutant in _mutations(inst, corr):
+                validate_correspondence(inst, first, second, corr)
                 want = _accepts(
                     reference_validate_correspondence, inst, first, second, mutant
                 )
-                got = _accepts(validate_correspondence, inst, first, second, mutant)
-                assert got == want, (seed, mutant)
+                for _ in range(2):
+                    got = _accepts(validate_correspondence, inst, first, second, mutant)
+                    assert got == want, (seed, mutant)
                 verdicts[want] += 1
     assert verdicts[True] > 500 and verdicts[False] > 10_000, verdicts
+
+
+def test_a_passed_correspondence_is_checked_afresh_for_other_matchings():
+    verdicts = {True: 0, False: 0}
+    for seed in range(80):
+        inst, rng, m, n = _seeded_rival_pair(seed)
+        other = rng.choice(list(enumerate_matchings(inst)))
+        corr = random_correspondence(inst, n, m, rng)
+        for first, second in ((m, n), (other, m), (n, other), (n, m)):
+            validate_correspondence(inst, n, m, corr)
+            want = _accepts(reference_validate_correspondence, inst, first, second, corr)
+            got = _accepts(validate_correspondence, inst, first, second, corr)
+            assert got == want, (seed, first, second)
+            verdicts[want] += 1
+    assert verdicts[True] > 85 and verdicts[False] > 200, verdicts
+
+
+def test_a_passed_matching_is_checked_afresh_against_a_changed_instance(short_supply):
+    m2 = _load(short_supply, "short_supply_m2.match")  # a1-b1, a2-b2, a3-b2
+    a3 = VertexId(Side.A, 2)
+    a_prefs, b_prefs = short_supply.a_prefs, short_supply.b_prefs
+    without_a3_b2 = dataclasses.replace(
+        short_supply,
+        a_prefs=(*a_prefs[:2], ()),
+        b_prefs=(b_prefs[0], tuple(u for u in b_prefs[1] if u != a3)),
+    )
+    b2_holds_one = dataclasses.replace(
+        short_supply, b_quotas=(short_supply.b_quotas[0], Quotas(1, 1))
+    )
+    for inst, message in (
+        (without_a3_b2, "not an edge"),
+        (b2_holds_one, "above its upper quota"),
+    ):
+        for check in (check_matching, deficiency, blocking_pairs):
+            check_matching(short_supply, m2)
+            with pytest.raises(MatchingError, match=message):
+                check(inst, m2)
+        with pytest.raises(MatchingError, match=message):
+            max_delta(inst, m2, m2)
+
+
+def test_a_passed_correspondence_is_checked_afresh_against_another_instance(
+    short_supply,
+):
+    m2 = _load(short_supply, "short_supply_m2.match")
+    m3 = _load(short_supply, "short_supply_m3.match")
+    corr = random_correspondence(short_supply, m3, m2, random.Random(5))
+    a3 = VertexId(Side.A, 2)
+    assert a3 in corr.pairs
+    without_a3 = dataclasses.replace(
+        short_supply,
+        a_names=short_supply.a_names[:2],
+        a_quotas=short_supply.a_quotas[:2],
+        a_prefs=short_supply.a_prefs[:2],
+        b_prefs=tuple(
+            tuple(u for u in listed if u != a3) for listed in short_supply.b_prefs
+        ),
+    )
+    for _ in range(2):
+        validate_correspondence(short_supply, m3, m2, corr)
+        with pytest.raises(ValueError, match="unknown vertices"):
+            validate_correspondence(without_a3, m3, m2, corr)
+
+
+def test_correspondence_pairs_are_a_read_only_copy():
+    a1, a2 = VertexId(Side.A, 0), VertexId(Side.A, 1)
+    b1, b2 = VertexId(Side.B, 0), VertexId(Side.B, 1)
+    given_pairs = {a1: [[b1, None]]}
+    corr = Correspondence(given_pairs)
+    assert isinstance(corr.pairs, MappingProxyType)
+    with pytest.raises(TypeError):
+        corr.pairs[a2] = ((b2, None),)
+    with pytest.raises(TypeError):
+        corr.pairs[a1] = ()
+    given_pairs[a1][0][0] = b2
+    given_pairs[a1].append([None, b1])
+    given_pairs[a2] = [(b2, None)]
+    assert dict(corr.pairs) == {a1: ((b1, None),)}
+
+
+def test_matching_pairs_are_always_a_frozenset():
+    pairs = {(VertexId(Side.A, 0), VertexId(Side.B, 0))}
+    assert type(Matching(set(pairs)).pairs) is frozenset
+    assert type(Matching(list(pairs)).pairs) is frozenset
+    fixed = frozenset(pairs)
+    assert Matching(fixed).pairs is fixed
+
+
+def test_checked_matchings_and_correspondences_survive_pickling(short_supply):
+    m2 = _load(short_supply, "short_supply_m2.match")
+    m3 = _load(short_supply, "short_supply_m3.match")
+    corr = random_correspondence(short_supply, m3, m2, random.Random(5))
+    validate_correspondence(short_supply, m3, m2, corr)
+    for thing in (m2, m3, corr):
+        copy = pickle.loads(pickle.dumps(thing))
+        assert copy == thing and type(copy.pairs) is type(thing.pairs)
+    copies = [pickle.loads(pickle.dumps(t)) for t in (m3, m2, corr)]
+    assert delta(short_supply, *copies) == delta(short_supply, m3, m2, corr)
+
+
+def test_unknown_vertices_of_a_correspondence_are_listed_sorted(short_supply):
+    ghosts = [VertexId(Side.B, 7), VertexId(Side.A, 9), VertexId(Side.A, 8)]
+    listed = ", ".join(map(repr, sorted(ghosts)))
+    with pytest.raises(ValueError) as raised:
+        validate_correspondence(
+            short_supply,
+            Matching(frozenset()),
+            Matching(frozenset()),
+            Correspondence({g: () for g in ghosts}),
+        )
+    assert str(raised.value) == (
+        f"correspondence mentions unknown vertices: {{{listed}}}"
+    )
 
 
 # sha256 of the random correspondences below, written out as names.  The
