@@ -14,6 +14,7 @@ oracle mismatch, trace mismatch).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -165,6 +166,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 2
 
 
+# Built once per process: every add_argument makes a help formatter, which
+# asks for the terminal size.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="popcrit",

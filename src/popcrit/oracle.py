@@ -1,12 +1,13 @@
 """Exhaustive reference oracle for small instances.
 
-One depth-first search walks every matching of an instance within an
-edge-count budget and scores each as it goes, with its A-side and B-side
-deficiency.  From that search come the enumeration, the minimum total
-deficiency with the matchings attaining it, and the subset of those
-matchings popular within it.  The oracle is deliberately independent of
-the solver so the two can be played against each other in tests; it
-shares only the per-vertex vote kernel with ``matchings.max_delta`` and the
+One iterative depth-first walk visits every matching of an instance
+within an edge-count budget and scores each as it goes, with its A-side
+and B-side deficiency kept as running shortfalls.  From that walk come
+the enumeration, in one pass the per-side and total minimum deficiency
+with the matchings attaining the total, and the subset of those matchings
+popular within it.  The oracle is deliberately independent of the
+solver so the two can be played against each other in tests; it shares
+only the per-vertex vote kernel with ``matchings.max_delta`` and the
 per-vertex ``matchings.shortfall``.
 """
 
@@ -20,8 +21,8 @@ from .matchings import Edge, Matching, max_delta, shortfall, vertex_gain
 from .model import Instance, Side
 
 DEFAULT_EDGE_BUDGET = 14
-# The search recurses once per edge, and a search over 2**64 subsets never
-# finishes, so no budget takes the oracle past this many edges.
+# A search over 2**64 subsets never finishes, so no budget takes the
+# oracle past this many edges.
 EDGE_CEILING = 64
 
 
@@ -31,12 +32,15 @@ def _scored_matchings(
     """Every subset of the edge set respecting all upper quotas, as its
     pairs with its A-side and B-side deficiency.
 
-    Edges are considered in sorted order and subsets are emitted
-    depth-first with the empty matching first.  Each vertex's held count
-    is kept in a list indexed by its position; vertices whose lower quota
-    is 0 never fall short, so they are not scored.  Raises ValueError, on
-    the first step, when the instance has more than max_edges edges or
-    more than EDGE_CEILING.
+    One iterative depth-first walk over the sorted edges, skipping an edge
+    before taking it, so the empty matching comes first.  After each
+    subset the walk steps back from the last edge: it undoes every taken
+    edge it meets and takes the first untaken one that fits both upper
+    quotas; it ends when it steps back past the first edge.  Each side's
+    deficiency is a running count, moved on every take and undo by how
+    much the vertex's ``shortfall`` changes.  Raises ValueError, on the
+    first step, when the instance has more than max_edges edges or more
+    than EDGE_CEILING.
     """
     edges = sorted(inst.edges)
     if len(edges) > max_edges:
@@ -51,34 +55,64 @@ def _scored_matchings(
     vertices = list(inst.all_vertices())
     pos = {v: k for k, v in enumerate(vertices)}
     upper = [inst.upper(v) for v in vertices]
+    # drop[k][h]: how much vertex k's shortfall falls when it goes from
+    # holding h partners to h + 1.
+    drop = [
+        [shortfall(lo, h) - shortfall(lo, h + 1) for h in range(up)]
+        for lo, up in zip((inst.lower(v) for v in vertices), upper)
+    ]
     held = [0] * len(vertices)
     ends = [(pos[a], pos[b]) for a, b in edges]
-    lower_a, lower_b = (
-        [(pos[v], inst.lower(v)) for v in inst.vertices(side) if inst.lower(v)]
+    taken = [False] * len(edges)
+    chosen: list[Edge] = []
+    da, db = (
+        sum(shortfall(inst.lower(v), 0) for v in inst.vertices(side))
         for side in (Side.A, Side.B)
     )
-    chosen: list[Edge] = []
-
-    def rec(i: int) -> Iterator[tuple[tuple[Edge, ...], int, int]]:
-        if i == len(edges):
-            yield (
-                tuple(chosen),
-                sum(shortfall(lo, held[k]) for k, lo in lower_a),
-                sum(shortfall(lo, held[k]) for k, lo in lower_b),
-            )
+    while True:
+        yield tuple(chosen), da, db
+        for i in range(len(edges) - 1, -1, -1):
+            a, b = ends[i]
+            if taken[i]:
+                taken[i] = False
+                chosen.pop()
+                held[a] -= 1
+                held[b] -= 1
+                da += drop[a][held[a]]
+                db += drop[b][held[b]]
+            elif held[a] < upper[a] and held[b] < upper[b]:
+                taken[i] = True
+                chosen.append(edges[i])
+                da -= drop[a][held[a]]
+                db -= drop[b][held[b]]
+                held[a] += 1
+                held[b] += 1
+                break
+        else:
             return
-        yield from rec(i + 1)
-        a, b = ends[i]
-        if held[a] < upper[a] and held[b] < upper[b]:
-            held[a] += 1
-            held[b] += 1
-            chosen.append(edges[i])
-            yield from rec(i + 1)
-            held[a] -= 1
-            held[b] -= 1
-            chosen.pop()
 
-    yield from rec(0)
+
+def _minima(
+    inst: Instance, max_edges: int
+) -> tuple[int, int, int, int, list[tuple[Edge, ...]]]:
+    """One pass over the search: the matching count, the A-side and B-side
+    minimum deficiency, the minimum total and, in search order, the pairs
+    of every matching attaining that total."""
+    scored = _scored_matchings(inst, max_edges)
+    # The search yields the empty matching first, so there is always one.
+    pairs, min_a, min_b = next(scored)
+    best, critical, count = min_a + min_b, [pairs], 1
+    for pairs, da, db in scored:
+        count += 1
+        if da < min_a:
+            min_a = da
+        if db < min_b:
+            min_b = db
+        if da + db < best:
+            best, critical = da + db, [pairs]
+        elif da + db == best:
+            critical.append(pairs)
+    return count, min_a, min_b, best, critical
 
 
 def enumerate_matchings(
@@ -98,10 +132,8 @@ def critical_set(
     inst: Instance, max_edges: int = DEFAULT_EDGE_BUDGET
 ) -> tuple[int, list[Matching]]:
     """The minimum total deficiency and every matching attaining it."""
-    # The search yields the empty matching first, so scored is never empty.
-    scored = [(da + db, pairs) for pairs, da, db in _scored_matchings(inst, max_edges)]
-    best = min(d for d, _ in scored)
-    return best, [Matching(frozenset(p)) for d, p in scored if d == best]
+    _, _, _, best, critical = _minima(inst, max_edges)
+    return best, [Matching(frozenset(p)) for p in critical]
 
 
 def is_popular_among(
@@ -133,13 +165,8 @@ def oracle_solve(
     those popular against every other critical matching together with the
     largest size such a matching reaches.
     """
-    scored = list(_scored_matchings(inst, max_edges))
-    min_def_a = min(da for _, da, _ in scored)
-    min_def_b = min(db for _, _, db in scored)
-    min_total = min(da + db for _, da, db in scored)
-    critical = [
-        Matching(frozenset(p)) for p, da, db in scored if da + db == min_total
-    ]
+    count, min_def_a, min_def_b, min_total, pairs = _minima(inst, max_edges)
+    critical = [Matching(frozenset(p)) for p in pairs]
 
     vertices = list(inst.all_vertices())
     partner_sets = [[m.partners(v) for v in vertices] for m in critical]
@@ -169,7 +196,7 @@ def oracle_solve(
             knockers[knocker] = None
 
     return OracleResult(
-        matching_count=len(scored),
+        matching_count=count,
         min_deficiency=min_total,
         min_def_a=min_def_a,
         min_def_b=min_def_b,

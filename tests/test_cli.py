@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from popcrit import DualCertificate, dual_assignment
+from popcrit import DualCertificate, cli, dual_assignment
 from popcrit.cli import main
 
 from conftest import DATA, run_interpreter
@@ -104,7 +104,7 @@ def test_oracle_budget_is_enforced(capsys):
 def test_oracle_refuses_an_instance_past_the_edge_ceiling_at_any_budget(
     tmp_path, capsys
 ):
-    # 1,600 edges: a search this deep would overflow the recursion limit.
+    # 1,600 edges: a search over 2**1600 subsets would never finish.
     inst = tmp_path / "big.inst"
     args = ["gen", "--n-a", "40", "--n-b", "40", "--edge-density", "1"]
     assert main([*args, "--out", str(inst)]) == 0
@@ -255,6 +255,33 @@ def test_usage_errors_exit_one(argv, capsys):
         main(argv)
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_the_parser_built_once_prints_what_fresh_parsers_print(
+    monkeypatch, capsys
+):
+    runs = [
+        ["solve"],
+        ["solve", SHORT_SUPPLY],
+        ["oracle", CAPACITY_SWITCH, "--list"],
+        ["verify", SHORT_SUPPLY, str(DATA / "short_supply_m1.match")],
+    ]
+
+    def run_all():
+        printed = []
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            printed.append((code, *capsys.readouterr()))
+        return printed
+
+    assert cli._build_parser() is cli._build_parser()
+    reused = run_all()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert run_all() == reused
+    assert [code for code, _, _ in reused] == [1, 0, 0, 0]
 
 
 # sha256 of the stdout of `popcrit solve --emit-trace` and of the trace CSV

@@ -28,8 +28,10 @@ from popcrit import (
     solve,
     verify_certificate,
 )
+from popcrit.oracle import _scored_matchings
 
-from conftest import DATA
+from conftest import DATA, load_instance
+from reference_search import reference_scored_matchings
 
 
 def _powerset_matchings(inst):
@@ -186,3 +188,67 @@ def test_solver_lands_inside_the_oracle_answer_with_zero_quotas():
         assert verify_certificate(g, dual_assignment(g)).ok
         checked += 1
     assert checked >= 200
+
+
+def _search_instances():
+    """Both fixtures, 300 seeded gen instances of at most 14 edges (about
+    a third with some upper quotas set to 0), a lower quota above degree
+    and an instance without edges."""
+    yield load_instance("short_supply.inst")
+    yield load_instance("capacity_switch.inst")
+    kept = 0
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        inst = generate_random_instance(
+            GenParams(
+                n_a=rng.randint(2, 5),
+                n_b=rng.randint(2, 5),
+                max_upper=rng.randint(1, 3),
+                lq_fraction=rng.random(),
+                edge_density=rng.uniform(0.2, 0.9),
+                seed=seed,
+            )
+        )
+        if len(inst.edges) > 14:
+            continue
+        if seed % 3 == 0:
+            inst = dataclasses.replace(
+                inst,
+                a_quotas=tuple(Quotas(0, 0) if rng.random() < 0.3 else q for q in inst.a_quotas),
+                b_quotas=tuple(Quotas(0, 0) if rng.random() < 0.3 else q for q in inst.b_quotas),
+            )
+        yield inst
+        kept += 1
+        if kept == 300:
+            break
+    yield parse_instance(
+        "A a1 3 3\nA a2 1 2\nB b1 2 2\nB b2 0 1\n"
+        "PREF a1 b1\nPREF a2 b1 b2\nPREF b1 a2 a1\nPREF b2 a2"
+    )
+    yield parse_instance("A a1 1 1\nA a2 0 1\nB b1 2 2\nPREF a1\nPREF a2\nPREF b1")
+
+
+def test_search_yields_what_the_recursive_reference_yields():
+    searched = 0
+    for inst in _search_instances():
+        got = list(_scored_matchings(inst, 14))
+        assert got == list(reference_scored_matchings(inst, 14))
+        for pairs, da, db in got:
+            d = deficiency(inst, Matching(pairs))
+            assert (d.total_a, d.total_b) == (da, db)
+        searched += 1
+    assert searched == 304
+
+
+def test_search_raises_its_budget_and_ceiling_errors_on_the_first_step():
+    small = load_instance("short_supply.inst")
+    big = generate_random_instance(GenParams(n_a=9, n_b=9, edge_density=1.0))
+    assert len(big.edges) == 81
+    for inst, budget, message in [
+        (small, 4, "budget is 4"),
+        (big, 5000, "refuses more than 64"),
+    ]:
+        for search in (_scored_matchings, reference_scored_matchings):
+            steps = search(inst, budget)
+            with pytest.raises(ValueError, match=message):
+                next(steps)
