@@ -55,14 +55,19 @@ def _scored_matchings(
     vertices = list(inst.all_vertices())
     pos = {v: k for k, v in enumerate(vertices)}
     upper = [inst.upper(v) for v in vertices]
+    ends = [(pos[a], pos[b]) for a, b in edges]
+    degree = [0] * len(vertices)
+    for a, b in ends:
+        degree[a] += 1
+        degree[b] += 1
     # drop[k][h]: how much vertex k's shortfall falls when it goes from
-    # holding h partners to h + 1.
+    # holding h partners to h + 1.  A vertex never holds more partners
+    # than its degree, however large its upper quota.
     drop = [
-        [shortfall(lo, h) - shortfall(lo, h + 1) for h in range(up)]
-        for lo, up in zip((inst.lower(v) for v in vertices), upper)
+        [shortfall(lo, h) - shortfall(lo, h + 1) for h in range(min(up, deg))]
+        for lo, up, deg in zip((inst.lower(v) for v in vertices), upper, degree)
     ]
     held = [0] * len(vertices)
-    ends = [(pos[a], pos[b]) for a, b in edges]
     taken = [False] * len(edges)
     chosen: list[Edge] = []
     da, db = (

@@ -346,6 +346,25 @@ def test_solve_traces_a_quota_beyond_64_bits(tmp_path, capsys):
     )
 
 
+def test_oracle_answers_for_a_quota_beyond_64_bits(tmp_path, capsys):
+    path = tmp_path / "huge.inst"
+    path.write_text("A a1 0 100000000000000000000\nB b1 0 1\nPREF a1 b1\nPREF b1 a1\n")
+    assert main(["oracle", str(path), "--list"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "matchings 2",
+        "min_deficiency 0 (A 0, B 0)",
+        "critical 2",
+        "popular_critical 1",
+        "max_popular_size 1",
+        "solver_deficiency 0 (A 0, B 0)",
+        "solver_size 1",
+        "solver_popular yes",
+        "# popular_critical 1",
+        "a1 b1",
+        "PASS",
+    ]
+
+
 # An A vertex and a B vertex without capacity; each once crashed the solver.
 ZERO_UPPER_QUOTA = [
     "A a1 0 0\nA a2 0 1\nB b1 0 1\nPREF a1 b1\nPREF a2 b1\nPREF b1 a1 a2\n",

@@ -190,10 +190,19 @@ def test_solver_lands_inside_the_oracle_answer_with_zero_quotas():
     assert checked >= 200
 
 
+# Quotas far past any degree are valid input; the search must not size
+# anything by them.
+HUGE_UPPER = "A a1 0 100000000000000000000\nB b1 0 1\nPREF a1 b1\nPREF b1 a1\n"
+HUGE_LOWER = (
+    "A a1 100000000000000000000 100000000000000000000\nA a2 0 1\n"
+    "B b1 0 2\nPREF a1 b1\nPREF a2 b1\nPREF b1 a2 a1\n"
+)
+
+
 def _search_instances():
     """Both fixtures, 300 seeded gen instances of at most 14 edges (about
-    a third with some upper quotas set to 0), a lower quota above degree
-    and an instance without edges."""
+    a third with some upper quotas set to 0), a lower quota above degree,
+    an instance without edges, and an upper and a lower quota of 10**20."""
     yield load_instance("short_supply.inst")
     yield load_instance("capacity_switch.inst")
     kept = 0
@@ -226,6 +235,8 @@ def _search_instances():
         "PREF a1 b1\nPREF a2 b1 b2\nPREF b1 a2 a1\nPREF b2 a2"
     )
     yield parse_instance("A a1 1 1\nA a2 0 1\nB b1 2 2\nPREF a1\nPREF a2\nPREF b1")
+    yield parse_instance(HUGE_UPPER)
+    yield parse_instance(HUGE_LOWER)
 
 
 def test_search_yields_what_the_recursive_reference_yields():
@@ -237,7 +248,7 @@ def test_search_yields_what_the_recursive_reference_yields():
             d = deficiency(inst, Matching(pairs))
             assert (d.total_a, d.total_b) == (da, db)
         searched += 1
-    assert searched == 304
+    assert searched == 306
 
 
 def test_search_raises_its_budget_and_ceiling_errors_on_the_first_step():
@@ -252,3 +263,20 @@ def test_search_raises_its_budget_and_ceiling_errors_on_the_first_step():
             steps = search(inst, budget)
             with pytest.raises(ValueError, match=message):
                 next(steps)
+
+
+def test_oracle_answers_at_once_for_quotas_beyond_64_bits():
+    # Only the degree bounds how many partners a vertex holds, so a quota of
+    # 10**20 costs the oracle nothing.
+    upper, lower = parse_instance(HUGE_UPPER), parse_instance(HUGE_LOWER)
+    assert len(list(enumerate_matchings(upper))) == 2
+    assert critical_set(upper)[0] == 0
+    r = oracle_solve(upper)
+    assert (r.matching_count, r.min_deficiency, r.critical_count) == (2, 0, 2)
+    assert (len(r.popular_critical), r.max_popular_size) == (1, 1)
+    assert len(list(enumerate_matchings(lower))) == 4
+    best, critical = critical_set(lower)
+    assert best == 10**20 - 1 and len(critical) == 2
+    r = oracle_solve(lower)
+    assert (r.matching_count, r.min_def_a, r.min_def_b) == (4, 10**20 - 1, 0)
+    assert (len(r.popular_critical), r.max_popular_size) == (1, 2)
