@@ -64,10 +64,10 @@ class CloneId(NamedTuple):
 _NO_OWNER = -1
 
 
-# Module-level aliases of the enum members that _left_of_bipartition and
-# the edge rule compare with: looking up an enum member through its class
-# costs about 165 ns on Python 3.11, and both run for many edges.
-_CLONE, _DUMMY = CloneKind.CLONE, CloneKind.DUMMY
+# Module-level aliases of the enum members that the per-edge and
+# per-vertex loops compare with: looking up an enum member through its
+# class costs about 165 ns on Python 3.11.
+_CLONE, _DUMMY, _LAST_RESORT = CloneKind.CLONE, CloneKind.DUMMY, CloneKind.LAST_RESORT
 _SIDE_A, _SIDE_B = Side.A, Side.B
 
 
@@ -190,13 +190,15 @@ class ClonedGraph:
     resorts_of: Mapping[VertexId, tuple[CloneId, ...]]
 
     def clone_name(self, u: CloneId) -> str:
-        if u.kind is CloneKind.CLONE:
-            owner = self.inst.name(VertexId(u.side, u.owner))
-            return f"{owner}.{u.ordinal}"
-        if u.kind is CloneKind.LAST_RESORT:
-            owner = self.inst.name(VertexId(u.side, u.owner))
-            return f"lr.{owner}.{u.ordinal}"
-        return f"dummy.{u.side.value}.{u.ordinal}"
+        return f"{self._name_stem(u)}.{u.ordinal}"
+
+    def _name_stem(self, u: CloneId) -> str:
+        """u's name less its ordinal, shared by a vertex's clones, by its
+        last-resorts and by a side's dummies."""
+        if u.kind is _DUMMY:
+            return f"dummy.{u.side.value}"
+        owner = self.inst.name(VertexId(u.side, u.owner))
+        return owner if u.kind is _CLONE else f"lr.{owner}"
 
     def canonical(self, u: CloneId, v: CloneId) -> CloneEdge:
         return _canonical(u, v)
@@ -240,6 +242,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     m = leveled.matching
     s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
     short = deficiency(inst, m)
+    ranks = inst._ranks
 
     def ids(kind: CloneKind, side: Side, owner: int, n: int) -> tuple[CloneId, ...]:
         return tuple(CloneId(kind, side, owner, k + 1) for k in range(n))
@@ -283,10 +286,11 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     for a, b in sorted(m.pairs):
         ai, bj = next(free_clones[a]), next(free_clones[b])
         bond(ai, bj, leveled.levels[(a, b)])
-        ra, rb = inst.rank(a, b), inst.rank(b, a)
+        ra, rb = ranks[a][b], ranks[b][a]
         holding[a][ai], holding[b][bj] = ra, rb
         # Each end is offered what it holds, so the lifted pair weighs 0.
-        join({ai: ra}, ra, {bj: rb}, rb)
+        # a's clone is the left side.
+        table[_block_key(ai, bj)] = ({ai: ra}, ra, {bj: rb}, rb)
 
     resort_level = {Side.A: t + 1, Side.B: t}
     free_dummies = {side: iter(pool) for side, pool in dummies.items()}
@@ -301,7 +305,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
             free_clones[v], short.per_vertex[v], free_dummies[v.side], resorts
         ):
             bond(u, w, level[w])
-            if w.kind is CloneKind.LAST_RESORT:
+            if w.kind is _LAST_RESORT:
                 spare[u] = _UNRANKED
         adjacent = holding[v] if len(m.partners(v)) > lower else spare
         # Dummies and last-resorts hold and offer no rank.
@@ -311,11 +315,14 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         raise InvariantError("every dummy must be consumed")
 
     # Real edges in a's preference order, so that a's rank of b is the
-    # position and nothing needs sorting.
+    # position and nothing needs sorting.  a's clones are the left side.
     for a in inst.vertices(Side.A):
         for rank, b in enumerate(inst.pref(a)):
-            if (a, b) not in m.pairs:
-                join(holding[a], rank, holding[b], inst.rank(b, a))
+            # A vertex of upper quota 0 has no clones, and so no blocks.
+            if clones_of[a] and clones_of[b] and (a, b) not in m.pairs:
+                table[_block_key(clones_of[a][0], clones_of[b][0])] = (
+                    holding[a], rank, holding[b], ranks[b][a]
+                )
     for side, pool in dummies.items():
         join(side_clones[side], _UNRANKED, dict.fromkeys(pool, _UNRANKED), _UNRANKED)
 
@@ -368,17 +375,17 @@ def dual_assignment(g: ClonedGraph) -> DualCertificate:
     build_cloned_graph.
     """
     alpha: dict[CloneId, int] = {}
+    mstar, levels, t, top = g.mstar, g.level, g.t, g.s + g.t + 1
     for u in g.vertices:
-        if u.kind is CloneKind.LAST_RESORT or (
-            u.kind is CloneKind.CLONE
-            and g.mstar[u].kind is CloneKind.LAST_RESORT
+        if u.kind is _LAST_RESORT or (
+            u.kind is _CLONE and mstar[u].kind is _LAST_RESORT
         ):
             alpha[u] = 0
             continue
-        level = g.level[u]
-        if not 0 <= level <= g.s + g.t + 1:
+        level = levels[u]
+        if not 0 <= level <= top:
             raise ValueError(f"{g.clone_name(u)} sits outside the level range")
-        value = 2 * (g.t - level) + 1
+        value = 2 * (t - level) + 1
         alpha[u] = value if _left_of_bipartition(u) else -value
     return DualCertificate(alpha)
 
@@ -418,19 +425,6 @@ def _pair_failures(
         yield "level_weight_bounds", f"same-level true edge {{}} weighs {wt} > 0"
 
 
-def _classes(
-    members: Mapping[CloneId, float], offer: float,
-    alpha: Mapping[CloneId, int], level: Mapping[CloneId, int],
-) -> dict[tuple[int, int, int], list[CloneId]]:
-    """One side of a block, its members grouped by (alpha, term, level),
-    where a member's term is its vote for the offer against the rank it
-    holds."""
-    classes: dict[tuple[int, int, int], list[CloneId]] = {}
-    for u, held in members.items():
-        classes.setdefault((alpha[u], _rank_vote(held, offer), level[u]), []).append(u)
-    return classes
-
-
 def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateReport:
     """Numerically verify that the dual certificate proves popularity.
 
@@ -448,11 +442,15 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     true edge when the block offers real ranks.  Its checks other than
     tightness (``_pair_failures``) read it only through each end's alpha,
     term and level, and that flag.  So each side of a block is grouped into
-    classes of members equal in those three values, each term worked out
-    as its member is grouped; the checks run once per pair of classes, and
-    a failing pair of classes names each pair of its members.  Tightness is
-    checked on the lift.  The failures name the same edges, in the same
-    order, as a check of every pair would.
+    classes of members equal in those three values; the checks run once per
+    pair of classes, and a failing pair of classes names each pair of its
+    members.  A side is a dict of members and the ranks they hold, and a
+    vertex's clones are one dict shared by all the blocks they sit in, so
+    each side's rows (member, held, alpha, level) are read out once per
+    call, keyed by the dict's identity; a block groups those rows, working
+    out each term (``matchings._rank_vote``) as its row is grouped.
+    Tightness is checked on the lift.  The failures name the same edges, in
+    the same order, as a check of every pair would.
     """
     alpha, level = cert.alpha, g.level
     failures: list[str] = []
@@ -477,11 +475,30 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     # and stably, so each edge keeps its checks in the order they ran:
     # tightness, checked after the blocks, comes last.
     edge_failures: list[tuple[CloneEdge, str, str]] = []
+    # Each side's rows, by the side's identity: the table keeps every side
+    # alive, so no identity is reused within the call.
+    rows_of: dict[int, list[tuple[CloneId, float, int, int]]] = {}
+
+    def classes(
+        members: dict[CloneId, float], offer: float
+    ) -> dict[tuple[int, int, int], list[CloneId]]:
+        """The members grouped by (alpha, term, level), where a member's term
+        is its vote for the offer against the rank it holds."""
+        rows = rows_of.get(id(members))
+        if rows is None:
+            rows = rows_of[id(members)] = [
+                (u, held, alpha[u], level[u]) for u, held in members.items()
+            ]
+        out: dict[tuple[int, int, int], list[CloneId]] = {}
+        for u, held, alpha_u, x in rows:
+            out.setdefault((alpha_u, _rank_vote(held, offer), x), []).append(u)
+        return out
+
     for left, left_offer, right, right_offer in g.edges.blocks():
         # Only a real edge's block offers real ranks.
         true_edge = left_offer < _UNRANKED
-        rights = _classes(right, right_offer, alpha, level)
-        for (alpha_u, f, x), us in _classes(left, left_offer, alpha, level).items():
+        rights = classes(right, right_offer)
+        for (alpha_u, f, x), us in classes(left, left_offer).items():
             for (alpha_w, h, y), ws in rights.items():
                 for check, message in _pair_failures(
                     alpha_u + alpha_w, f + h, x, y, true_edge
@@ -502,7 +519,7 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
         fail(check, message)
 
     for u in g.vertices:
-        if u.kind is CloneKind.LAST_RESORT and alpha[u] < 0:
+        if u.kind is _LAST_RESORT and alpha[u] < 0:
             fail(
                 "last_resorts_nonnegative",
                 f"{g.clone_name(u)} carries {alpha[u]}",
@@ -520,15 +537,28 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
 def render_certificate_report(
     g: ClonedGraph, cert: DualCertificate, report: CertificateReport
 ) -> str:
-    """One line per vertex of the cloned graph (id, partition side, level,
-    dual value), then the value sum, then the verdict."""
+    """One line per vertex of the cloned graph (its name as ``clone_name``
+    gives it, partition side, level, dual value), then the value sum, then
+    the verdict.
+
+    The vertex lines come in the graph's own tables' order: the clones of
+    ``g.clones_of``, A side first, each owner in index order and its clones
+    in ordinal order; then the dummies of ``g.dummies``, A side first; then
+    the last-resorts of ``g.resorts_of`` in the clones' order.  This is the
+    order of ``sorted(g.vertices)``, since CloneKind's values sort clone,
+    dummy, last_resort.  A clone sits on its own side of the partition, a
+    dummy or last-resort on the other.
+    """
+    alpha, level = cert.alpha, g.level
     lines = []
-    for u in sorted(g.vertices):
-        side = Side.A if _left_of_bipartition(u) else Side.B
-        lines.append(
-            f"{g.clone_name(u)} {side.value} {g.level[u]} {cert.alpha[u]}"
-        )
-    lines.append(f"SUM {sum(cert.alpha.values())}")
+    # Each group, a vertex's clones or last-resorts or a side's dummies,
+    # shares its name stem and its partition side.
+    for group in chain(g.clones_of.values(), g.dummies.values(), g.resorts_of.values()):
+        if group:
+            stem = g._name_stem(group[0])
+            side = (_SIDE_A if _left_of_bipartition(group[0]) else _SIDE_B).value
+            lines += [f"{stem}.{u.ordinal} {side} {level[u]} {alpha[u]}" for u in group]
+    lines.append(f"SUM {sum(alpha.values())}")
     if report.ok:
         lines.append("VERDICT PASS")
     else:

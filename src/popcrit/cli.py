@@ -14,10 +14,13 @@ oracle mismatch, trace mismatch).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import sys
+from collections import deque
+from itertools import zip_longest
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .certificate import (
     build_cloned_graph,
@@ -40,7 +43,7 @@ from .model import (
     validate_instance,  # unused here, but bench/worker.py wraps cli.validate_instance
 )
 from .oracle import DEFAULT_EDGE_BUDGET, oracle_solve
-from .solver import read_trace_csv, solve, trace_to_csv
+from .solver import _CSV_COLUMNS, solve, trace_to_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,23 +149,52 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of text, each with its ``\\n``, as ``io.StringIO(text)``
+    yields them; a StringIO would first copy the text at four bytes per
+    character."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _csv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
+    """The CSV rows of lines; a CSV error raises ValueError with the
+    message of ``read_trace_csv``."""
+    try:
+        yield from csv.reader(lines)
+    except csv.Error as exc:
+        raise ValueError(f"trace is not valid CSV: {exc}") from exc
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
+    """Compare the recorded trace with a fresh one row by row, holding
+    neither as a list of rows.  The recorded file is read to its end
+    before any verdict, so that a CSV error anywhere in it is reported
+    first, as ``read_trace_csv`` would report it."""
     inst = _load_instance(args.instance)
-    expected = read_trace_csv(Path(args.trace).read_text())
-    _, trace = solve(inst)
-    actual = read_trace_csv(trace_to_csv(inst, trace))
-    if actual == expected:
-        print(f"MATCH {len(actual)} proposals")
-        return 0
-    limit = min(len(actual), len(expected))
-    row = next(
-        (i for i in range(limit) if actual[i] != expected[i]), limit
-    )
-    print(f"MISMATCH at proposal {row + 1}")
-    if row < len(expected):
-        print("expected " + ",".join(expected[row]))
-    if row < len(actual):
-        print("actual   " + ",".join(actual[row]))
+    with open(args.trace) as recorded:
+        expected = _csv_rows(recorded)
+        if next(expected, None) != _CSV_COLUMNS:
+            deque(expected, maxlen=0)
+            raise ValueError(f"trace header must be {','.join(_CSV_COLUMNS)}")
+        actual = csv.reader(_lines(trace_to_csv(inst, solve(inst)[1])))
+        next(actual)
+        count = 0
+        for count, (want, got) in enumerate(zip_longest(expected, actual), start=1):
+            if want != got:
+                break
+        else:
+            print(f"MATCH {count} proposals")
+            return 0
+        deque(expected, maxlen=0)
+    print(f"MISMATCH at proposal {count}")
+    if want is not None:
+        print("expected " + ",".join(want))
+    if got is not None:
+        print("actual   " + ",".join(got))
     return 2
 
 

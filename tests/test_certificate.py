@@ -41,6 +41,7 @@ from popcrit.matchings import _UNRANKED, _rank_vote
 from conftest import DATA, all_correspondences, run_python
 from reference_assignment import max_covering_weight
 from reference_cycle_check import has_positive_cycle
+from reference_report import reference_report
 from reference_verifier import reference_verify
 
 
@@ -490,6 +491,32 @@ def test_rendered_report_matches_golden_file(short_supply_graph):
     report = verify_certificate(short_supply_graph, cert)
     text = render_certificate_report(short_supply_graph, cert, report)
     assert text == (DATA / "short_supply_cert.txt").read_text()
+
+
+def test_report_lists_vertices_in_sorted_order(high_quota_graph, deficient_graph):
+    # The seeded acceptance suite makes the same comparison on 500 graphs.
+    # Here: many clones and last-resorts, dummies on both sides, vertices
+    # of upper quota 0 (no clones) and of lower quota equal to the upper
+    # (no last-resorts) on each side, and a failing certificate.
+    zero = parse_instance(
+        "A a1 0 0\nA a2 2 2\nA a3 0 1\nB b1 0 0\nB b2 0 1\nB b3 2 2\n"
+        "PREF a1 b2 b1\nPREF a2 b2\nPREF a3 b3\n"
+        "PREF b1 a1\nPREF b2 a2 a1\nPREF b3 a3\n"
+    )
+    zero_graph = build_cloned_graph(zero, solve(zero)[0])
+    assert not zero_graph.clones_of[VertexId(Side.A, 0)]
+    assert not zero_graph.clones_of[VertexId(Side.B, 0)]
+    assert zero_graph.dummies[Side.A] and zero_graph.dummies[Side.B]
+    for g in (high_quota_graph, deficient_graph, zero_graph):
+        cert = dual_assignment(g)
+        skewed = dict(cert.alpha)
+        skewed[g.vertices[0]] -= 1
+        for dual in (cert, DualCertificate(skewed)):
+            report = verify_certificate(g, dual)
+            assert report.ok is (dual is cert)
+            text = render_certificate_report(g, dual, report)
+            assert text == reference_report(g, dual, report)
+            assert text.splitlines()[-1].startswith("VERDICT PASS" if report.ok else "VERDICT FAIL ")
 
 
 def test_tampered_duals_are_caught(short_supply_graph, capacity_switch_graph):

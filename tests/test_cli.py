@@ -1,10 +1,20 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import pytest
 
-from popcrit import DualCertificate, cli, dual_assignment
+from popcrit import (
+    DualCertificate,
+    GenParams,
+    cli,
+    dual_assignment,
+    generate_random_instance,
+    serialize_instance,
+    solve,
+    trace_to_csv,
+)
 from popcrit.cli import main
 
 from conftest import DATA, run_interpreter
@@ -167,6 +177,68 @@ def test_trace_replay_detects_divergence(tmp_path, capsys):
     assert out[0] == "MISMATCH at proposal 5"
     assert out[1].startswith("expected ")
     assert out[2].startswith("actual   ")
+
+
+# The recorded trace of short_supply has a header and 31 rows.
+_RECORDED = (DATA / "short_supply_trace.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "lines, verdict",
+    [
+        # Shorter: only the fresh trace has row 20.
+        (_RECORDED[:20], ["MISMATCH at proposal 20", "actual   " + _RECORDED[20]]),
+        # Longer: only the recording has row 32.
+        (_RECORDED + ["32,a1,0,2,b1,1,-,1"], ["MISMATCH at proposal 32", "expected 32,a1,0,2,b1,1,-,1"]),
+        # The last row differs.
+        (
+            _RECORDED[:-1] + [_RECORDED[-1] + "0"],
+            ["MISMATCH at proposal 31", "expected " + _RECORDED[-1] + "0", "actual   " + _RECORDED[-1]],
+        ),
+        # A header without rows.
+        (_RECORDED[:1], ["MISMATCH at proposal 1", "actual   " + _RECORDED[1]]),
+    ],
+    ids=["shorter", "longer", "last_row", "header_only"],
+)
+def test_trace_replay_reports_the_first_differing_row(lines, verdict, tmp_path, capsys):
+    recorded = tmp_path / "recorded.csv"
+    recorded.write_text("\n".join(lines) + "\n")
+    assert main(["trace", SHORT_SUPPLY, str(recorded)]) == 2
+    assert capsys.readouterr().out.splitlines() == verdict
+
+
+@pytest.mark.parametrize("row", [0, 3], ids=["bad_header", "mismatch"])
+def test_trace_with_a_csv_error_after_a_mismatch_exits_one(row, tmp_path, capsys):
+    # The header or row 3 differs, and the file holds a field above csv's
+    # 131,072-character limit further on: the whole recording is read
+    # before any verdict.
+    lines = list(_RECORDED)
+    lines[row] = lines[row].replace("a", "z")
+    lines[20] = "20," + "x" * 200_000
+    recorded = tmp_path / "recorded.csv"
+    recorded.write_text("\n".join(lines) + "\n")
+    assert main(["trace", SHORT_SUPPLY, str(recorded)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trace is not valid CSV: field larger than field limit (131072)\n"
+
+
+def test_trace_replay_holds_no_row_lists(tmp_path, capsys):
+    # 50,386 proposals, a 1.6 MB CSV.  Reading both traces into row lists,
+    # as the command once did, peaked at 51.9 MB under tracemalloc
+    # (Python 3.11); comparing two streams of rows peaks at 6.5 MB.
+    inst = generate_random_instance(GenParams(n_a=200, n_b=200, edge_density=0.015, seed=1))
+    (tmp_path / "big.inst").write_text(serialize_instance(inst))
+    (tmp_path / "big.csv").write_text(trace_to_csv(inst, solve(inst)[1]))
+    tracemalloc.start()
+    try:
+        code = main(["trace", str(tmp_path / "big.inst"), str(tmp_path / "big.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == "MATCH 50386 proposals\n"
+    assert peak < 16 * 2**20
 
 
 def test_trace_with_an_oversized_field_exits_one(tmp_path, capsys):
