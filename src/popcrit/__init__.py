@@ -17,7 +17,6 @@ from .certificate import (
     build_cloned_graph,
     clone_matching_weight,
     dual_assignment,
-    edge_weight,
     map_matching_to_clones,
     render_certificate_report,
     verify_certificate,
@@ -31,7 +30,6 @@ from .matchings import (
     check_matching,
     deficiency,
     delta,
-    is_feasible,
     max_delta,
     parse_matching,
     random_correspondence,
@@ -58,7 +56,6 @@ from .oracle import (
     OracleResult,
     critical_set,
     enumerate_matchings,
-    is_popular_among,
     oracle_solve,
 )
 from .solver import (
@@ -106,11 +103,8 @@ __all__ = [
     "deficiency",
     "delta",
     "dual_assignment",
-    "edge_weight",
     "enumerate_matchings",
     "generate_random_instance",
-    "is_feasible",
-    "is_popular_among",
     "map_matching_to_clones",
     "max_delta",
     "oracle_solve",

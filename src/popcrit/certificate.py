@@ -200,9 +200,6 @@ class ClonedGraph:
         owner = self.inst.name(VertexId(u.side, u.owner))
         return owner if u.kind is _CLONE else f"lr.{owner}"
 
-    def canonical(self, u: CloneId, v: CloneId) -> CloneEdge:
-        return _canonical(u, v)
-
 
 def _park(
     clones: Iterable[CloneId], short: int,
@@ -342,22 +339,6 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         clones_of=clones_of,
         resorts_of=resorts_of,
     )
-
-
-def edge_weight(g: ClonedGraph, inst: Instance, e: CloneEdge) -> int:
-    """Combined vote of the edge's endpoints for each other, against their
-    lifted partners, as ``g.edges`` gives it.
-
-    ``inst`` is not read: the weights come from g.  Either orientation of
-    an edge is accepted.  Raises ValueError for pairs outside the graph.
-    """
-    u, w = e
-    wt = g.edges.get((u, w))
-    if wt is None:
-        wt = g.edges.get((w, u))
-        if wt is None:
-            raise ValueError("edge not present in the cloned graph")
-    return wt
 
 
 @dataclass(frozen=True)
@@ -657,6 +638,11 @@ def clone_matching_weight(
 ) -> int:
     """Total weight of a clone matching, for comparing against delta.
 
-    The weights come from g; ``inst`` is not read.
+    The weights come from ``g.edges``, so each edge is in canonical
+    orientation; ``inst`` is not read.  Raises ValueError for a pair outside
+    the graph.
     """
-    return sum(edge_weight(g, inst, e) for e in nstar)
+    try:
+        return sum(g.edges[e] for e in nstar)
+    except KeyError:
+        raise ValueError("edge not present in the cloned graph") from None

@@ -14,13 +14,13 @@ oracle mismatch, trace mismatch).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import io
 import sys
 from collections import deque
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .certificate import (
     build_cloned_graph,
@@ -43,7 +43,7 @@ from .model import (
     validate_instance,  # unused here, but bench/worker.py wraps cli.validate_instance
 )
 from .oracle import DEFAULT_EDGE_BUDGET, oracle_solve
-from .solver import _CSV_COLUMNS, solve, trace_to_csv
+from .solver import _csv_blocks, _trace_rows, solve, trace_to_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,39 +149,23 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of text, each with its ``\\n``, as ``io.StringIO(text)``
-    yields them; a StringIO would first copy the text at four bytes per
-    character."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
-def _csv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
-    """The CSV rows of lines; a CSV error raises ValueError with the
-    message of ``read_trace_csv``."""
-    try:
-        yield from csv.reader(lines)
-    except csv.Error as exc:
-        raise ValueError(f"trace is not valid CSV: {exc}") from exc
+def _fresh_rows(inst: Instance) -> Iterator[list[str]]:
+    """The rows of a fresh trace of inst, read back one block at a time.
+    inst is solved when the first row is asked for."""
+    blocks = _csv_blocks(inst, solve(inst)[1])
+    yield from _trace_rows(line for block in blocks for line in io.StringIO(block))
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Compare the recorded trace with a fresh one row by row, holding
-    neither as a list of rows.  The recorded file is read to its end
-    before any verdict, so that a CSV error anywhere in it is reported
-    first, as ``read_trace_csv`` would report it."""
+    neither as a list of rows; both are read through the reader of
+    ``read_trace_csv``.  ``zip_longest`` asks the recording first, so its
+    header is checked before the instance is solved; and the recording is
+    read to its end before any verdict, so that a CSV error anywhere in it
+    is reported first."""
     inst = _load_instance(args.instance)
     with open(args.trace) as recorded:
-        expected = _csv_rows(recorded)
-        if next(expected, None) != _CSV_COLUMNS:
-            deque(expected, maxlen=0)
-            raise ValueError(f"trace header must be {','.join(_CSV_COLUMNS)}")
-        actual = csv.reader(_lines(trace_to_csv(inst, solve(inst)[1])))
-        next(actual)
+        expected, actual = _trace_rows(recorded), _fresh_rows(inst)
         count = 0
         for count, (want, got) in enumerate(zip_longest(expected, actual), start=1):
             if want != got:

@@ -161,10 +161,6 @@ def shortfall(lower: int, held: int) -> int:
     return max(0, lower - held)
 
 
-def is_feasible(inst: Instance, m: Matching) -> bool:
-    return deficiency(inst, m).total == 0
-
-
 def blocking_pairs(inst: Instance, m: Matching) -> list[Edge]:
     """Edges outside m whose both endpoints would rather use them.
 

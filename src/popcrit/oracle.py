@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .matchings import Edge, Matching, max_delta, shortfall, vertex_gain
+from .matchings import Edge, Matching, shortfall, vertex_gain
 from .model import Instance, Side
 
 DEFAULT_EDGE_BUDGET = 14
@@ -139,13 +139,6 @@ def critical_set(
     """The minimum total deficiency and every matching attaining it."""
     _, _, _, best, critical = _minima(inst, max_edges)
     return best, [Matching(frozenset(p)) for p in critical]
-
-
-def is_popular_among(
-    inst: Instance, m: Matching, rivals: Iterable[Matching]
-) -> bool:
-    """True when no rival gets a positive best-case vote total against m."""
-    return all(max_delta(inst, m, n) <= 0 for n in rivals)
 
 
 @dataclass(frozen=True)

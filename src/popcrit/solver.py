@@ -20,12 +20,17 @@ the receiver's worst partner when it is full.  Each proposal is appended
 to one flat ``array`` of ints, ``_WIDTH`` per row; the row stores no quota,
 only what the quotas are read from (the level, and whether the receiver
 offered its lower or its upper quota).  ``Trace.events`` decodes that
-record into ``ProposalEvent``s on first access.  ``trace_to_csv`` renders
-it in bulk, without decoding it: it quotes each name once per call into
-per-vertex cell tables, then walks the record in blocks of ``_CHUNK`` rows,
-taking each column of a block as one strided slice and joining one
-f-string per row.  The trace is deterministic: equal instances give
-byte-identical trace CSVs.
+record into ``ProposalEvent``s on first access.  ``_csv_blocks`` renders
+it as CSV without decoding it: it quotes each name once per call into
+per-vertex cell tables, then yields the header and the rows of each block
+of ``_CHUNK`` proposals, taking each column of a block as one strided
+slice and joining one f-string per row.  ``trace_to_csv`` joins those
+pieces, and ``popcrit trace`` reads them back one block at a time.  The
+trace is deterministic: equal instances give byte-identical trace CSVs.
+
+Every trace CSV is read through ``_trace_rows``, which checks the header
+and reports a CSV error as ValueError: ``read_trace_csv`` reads a text
+with it, and ``popcrit trace`` a recorded file and a fresh trace.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .matchings import Matching
 from .model import Instance, Side, VertexId
@@ -312,23 +317,23 @@ def _csv_cells(names: Iterable[str]) -> list[str]:
     return [writer.writerow((name, ""))[:-2] for name in names]
 
 
-# Rows per block of trace_to_csv: enough to amortise a block's slices,
+# Rows per block of _csv_blocks: enough to amortise a block's slices,
 # few enough that its row strings stay small next to the output.
 _CHUNK = 8192
 
 
-def trace_to_csv(inst: Instance, trace: Trace) -> str:
-    """Render a trace as CSV with one row per proposal, byte for byte as
-    ``csv.writer`` would write the rows.
+def _csv_blocks(inst: Instance, trace: Trace) -> Iterator[str]:
+    """The trace CSV in pieces: the header line, then the rows of each block
+    of ``_CHUNK`` proposals, byte for byte as ``csv.writer`` would write
+    them.
 
     Each name is quoted once per call, by ``csv.writer`` itself, into cell
     tables: per A vertex its name and ``,c_a,`` for either quota, per
     receiver and quota flag ``name,c_b,``, and per A vertex a prefix and a
     suffix around the level of a rejected copy ``name^level`` (``^`` and
-    digits never change the quoting decision).  The record is then walked
-    in blocks of ``_CHUNK`` rows; each column of a block is one strided
-    slice of the record, the ``rejected`` column is built first, and each
-    row is one f-string over the tables.
+    digits never change the quoting decision).  Each column of a block is
+    one strided slice of the record, the ``rejected`` column is built
+    first, and each row is one f-string over the tables.
     """
     t = inst.sum_lower(Side.B)
     a_cells = _csv_cells(inst.a_names)
@@ -348,14 +353,14 @@ def trace_to_csv(inst: Instance, trace: Trace) -> str:
 
     rec = trace.record
     step = _CHUNK * _WIDTH
-    out = [",".join(_CSV_COLUMNS) + "\n"]
+    yield ",".join(_CSV_COLUMNS) + "\n"
     for lo in range(0, len(rec), step):
         hi = lo + step
         rejected = [
             "-" if rej < 0 else f"{rej_prefix[rej]}{rej_level}{rej_suffix[rej]}"
             for rej, rej_level in zip(rec[lo + 4:hi:_WIDTH], rec[lo + 5:hi:_WIDTH])
         ]
-        out.append("".join([
+        yield "".join([
             f"{seq},{a_cells[a]},{level}{c_a_cells[a][level > t + 1]}"
             f"{b_cells[b][b_upper]}{rej},{size}\n"
             for seq, a, level, b, b_upper, rej, size in zip(
@@ -363,16 +368,29 @@ def trace_to_csv(inst: Instance, trace: Trace) -> str:
                 rec[lo:hi:_WIDTH], rec[lo + 1:hi:_WIDTH], rec[lo + 2:hi:_WIDTH],
                 rec[lo + 3:hi:_WIDTH], rejected, rec[lo + 6:hi:_WIDTH],
             )
-        ]))
-    return "".join(out)
+        ])
+
+
+def trace_to_csv(inst: Instance, trace: Trace) -> str:
+    """Render a trace as CSV with one row per proposal, byte for byte as
+    ``csv.writer`` would write the rows."""
+    return "".join(_csv_blocks(inst, trace))
+
+
+def _trace_rows(lines: Iterable[str]) -> Iterator[list[str]]:
+    """The rows after the header of the trace CSV made of lines.  A CSV
+    error anywhere in the lines is reported before a wrong header; either
+    raises ValueError."""
+    rows = csv.reader(lines)
+    try:
+        if next(rows, None) != _CSV_COLUMNS:
+            deque(rows, maxlen=0)
+            raise ValueError(f"trace header must be {','.join(_CSV_COLUMNS)}")
+        yield from rows
+    except csv.Error as exc:
+        raise ValueError(f"trace is not valid CSV: {exc}") from exc
 
 
 def read_trace_csv(text: str) -> list[list[str]]:
     """Parse a trace CSV into rows of strings, validating the header."""
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        raise ValueError(f"trace is not valid CSV: {exc}") from exc
-    if not rows or rows[0] != _CSV_COLUMNS:
-        raise ValueError(f"trace header must be {','.join(_CSV_COLUMNS)}")
-    return rows[1:]
+    return list(_trace_rows(io.StringIO(text)))

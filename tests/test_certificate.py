@@ -24,7 +24,6 @@ from popcrit import (
     critical_set,
     delta,
     dual_assignment,
-    edge_weight,
     generate_random_instance,
     map_matching_to_clones,
     max_delta,
@@ -36,6 +35,7 @@ from popcrit import (
     verify_certificate,
     vote,
 )
+from popcrit.certificate import _canonical
 from popcrit.matchings import _UNRANKED, _rank_vote
 
 from conftest import DATA, all_correspondences, run_python
@@ -149,28 +149,29 @@ def test_build_is_deterministic(short_supply):
 # ------------------------------------------------------------------ weights
 
 
-def test_edge_weights_by_hand(short_supply_graph, short_supply):
+def test_edge_weights_by_hand(short_supply_graph):
     g = short_supply_graph
     for lifted in g.mstar.items():
-        assert edge_weight(g, short_supply, lifted) == 0
+        assert g.edges[_canonical(*lifted)] == 0
     # a1's spare clone and b2's clone backed by a2: both would gain
-    assert edge_weight(g, short_supply, (_clone(Side.A, 0, 2), _clone(Side.B, 1, 1))) == 2
+    assert g.edges[(_clone(Side.A, 0, 2), _clone(Side.B, 1, 1))] == 2
     # a1's matched clone against b2's clone backed by a3: both would lose
-    assert edge_weight(g, short_supply, (_clone(Side.A, 0, 1), _clone(Side.B, 1, 2))) == -2
+    assert g.edges[(_clone(Side.A, 0, 1), _clone(Side.B, 1, 2))] == -2
     dummy = g.dummies[Side.A][0]
     # moving to a dummy costs a real partner but not an artificial one
-    assert edge_weight(g, short_supply, (_clone(Side.A, 0, 1), dummy)) == -1
-    assert edge_weight(g, short_supply, (_clone(Side.A, 0, 2), dummy)) == 0
-    assert edge_weight(g, short_supply, (_clone(Side.A, 1, 2), dummy)) == 0
-    assert (
-        edge_weight(g, short_supply, (_clone(Side.A, 0, 2), _resort(Side.A, 0, 1))) == 0
-    )
+    assert g.edges[(_clone(Side.A, 0, 1), dummy)] == -1
+    assert g.edges[(_clone(Side.A, 0, 2), dummy)] == 0
+    assert g.edges[(_clone(Side.A, 1, 2), dummy)] == 0
+    assert g.edges[(_clone(Side.A, 0, 2), _resort(Side.A, 0, 1))] == 0
 
 
 def test_edge_weight_rejects_non_edges(short_supply_graph, short_supply):
     with pytest.raises(ValueError, match="not present"):
         # a3-b1 is not an edge of the instance
-        edge_weight(short_supply_graph, short_supply, (_clone(Side.A, 2, 1), _clone(Side.B, 0, 1)))
+        clone_matching_weight(
+            short_supply_graph, short_supply,
+            frozenset({(_clone(Side.A, 2, 1), _clone(Side.B, 0, 1))}),
+        )
 
 
 def _non_edge(g, name):
@@ -193,12 +194,9 @@ def test_non_edges_are_absent_from_the_mapping(deficient_graph, name):
     key = _non_edge(g, name)
     assert key not in g.edges
     assert g.edges.get(key) is None
-    if name == "reversed real edge":
-        # edge_weight takes either orientation of an edge.
-        assert edge_weight(g, g.inst, key) == g.edges[key[::-1]]
-    elif name != "None":
-        with pytest.raises(ValueError, match="not present"):
-            edge_weight(g, g.inst, key)
+    # g.edges takes each edge in canonical orientation only.
+    with pytest.raises(ValueError, match="not present"):
+        clone_matching_weight(g, g.inst, frozenset({key}))
 
 
 def _recomputed_weight(g, inst, u, w):
@@ -233,8 +231,7 @@ def test_true_edge_weights_match_vote_recomputation(graph_name, request):
     seen = Counter()
     for u, w in sorted(g.edges):
         family, expected = _family_and_weight(g, u, w)
-        assert edge_weight(g, g.inst, (u, w)) == expected
-        assert edge_weight(g, g.inst, (w, u)) == expected
+        assert g.edges[(u, w)] == expected
         seen[family] += 1
     assert {"lifted", "clone-clone", "clone-last_resort"} <= set(seen)
     assert ("clone-dummy" in seen) == any(g.dummies.values())
@@ -253,14 +250,14 @@ def _explicit_edges(g):
     with every dummy of its side, and each clone adjacent to last-resorts
     with every last-resort of its owner, weighed by ``_family_and_weight``."""
     inst, m = g.inst, g.leveled.matching
-    pairs = {g.canonical(u, w) for u, w in g.mstar.items()}
+    pairs = {_canonical(u, w) for u, w in g.mstar.items()}
     for a, b in inst.edges - m.pairs:
         pairs.update(itertools.product(g.clones_of[a], g.clones_of[b]))
     for v in inst.all_vertices():
         for c in g.clones_of[v]:
-            pairs.update(g.canonical(c, d) for d in g.dummies[v.side])
+            pairs.update(_canonical(c, d) for d in g.dummies[v.side])
             if _lr_adjacent(g, v, c):
-                pairs.update(g.canonical(c, r) for r in g.resorts_of[v])
+                pairs.update(_canonical(c, r) for r in g.resorts_of[v])
     return {(u, w): _family_and_weight(g, u, w)[1] for u, w in pairs}
 
 
@@ -273,7 +270,7 @@ def test_implicit_edges_match_the_explicit_rule(
         assert len(g.edges) == len(explicit)
         assert sorted(g.edges) == sorted(explicit)
         assert dict(g.edges.items()) == explicit
-        assert all(g.canonical(u, w) in g.edges for u, w in g.mstar.items())
+        assert all(_canonical(u, w) in g.edges for u, w in g.mstar.items())
         assert not any((w, u) in g.edges for u, w in explicit)
 
         inst, m = g.inst, g.leveled.matching
@@ -292,7 +289,7 @@ def test_implicit_edges_match_the_explicit_rule(
             for c in g.clones_of[v]:
                 if not _lr_adjacent(g, v, c):
                     for r in g.resorts_of[v]:
-                        assert g.canonical(c, r) not in g.edges
+                        assert _canonical(c, r) not in g.edges
                         seen["not lr-adjacent"] += 1
     assert set(seen) == {"matched, not lifted", "not adjacent", "not lr-adjacent"}
 
@@ -323,7 +320,7 @@ def test_blocks_cover_every_edge_once(
                         _rank_vote(held_u, left_offer) + _rank_vote(held_w, right_offer)
                     )
         assert weights == dict(g.edges.items())
-        assert all(g.canonical(u, w) in weights for u, w in g.mstar.items())
+        assert all(_canonical(u, w) in weights for u, w in g.mstar.items())
 
 
 def test_a_vertex_without_capacity_certifies():
@@ -590,7 +587,7 @@ def _assert_perfect_pairing(g, nstar):
 def test_identity_lift_recovers_the_matching_lift(graph_name, request):
     g = request.getfixturevalue(graph_name)
     nstar = map_matching_to_clones(g, g.inst, g.leveled.matching, Correspondence({}))
-    expected = frozenset(g.canonical(u, w) for u, w in g.mstar.items())
+    expected = frozenset(_canonical(u, w) for u, w in g.mstar.items())
     assert nstar == expected
     assert clone_matching_weight(g, g.inst, nstar) == 0
 

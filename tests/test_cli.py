@@ -11,6 +11,7 @@ from popcrit import (
     cli,
     dual_assignment,
     generate_random_instance,
+    read_trace_csv,
     serialize_instance,
     solve,
     trace_to_csv,
@@ -221,12 +222,28 @@ def test_trace_with_a_csv_error_after_a_mismatch_exits_one(row, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: trace is not valid CSV: field larger than field limit (131072)\n"
+    # read_trace_csv reads the recording through the same reader.
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(recorded.read_text())
+    assert captured.err == f"error: {exc.value}\n"
+
+
+def test_trace_reports_a_bad_header_before_solving(monkeypatch, tmp_path, capsys):
+    def unexpected(inst):
+        raise AssertionError("solved before the recorded header was checked")
+
+    monkeypatch.setattr("popcrit.cli.solve", unexpected)
+    recorded = tmp_path / "recorded.csv"
+    recorded.write_text("\n".join(["seq,a"] + _RECORDED[1:]) + "\n")
+    assert main(["trace", SHORT_SUPPLY, str(recorded)]) == 1
+    assert capsys.readouterr().err.startswith("error: trace header must be ")
 
 
 def test_trace_replay_holds_no_row_lists(tmp_path, capsys):
     # 50,386 proposals, a 1.6 MB CSV.  Reading both traces into row lists,
     # as the command once did, peaked at 51.9 MB under tracemalloc
-    # (Python 3.11); comparing two streams of rows peaks at 6.5 MB.
+    # (Python 3.11); comparing two streams of rows, the fresh one read back
+    # block by block, peaks at 5.6 MB.
     inst = generate_random_instance(GenParams(n_a=200, n_b=200, edge_density=0.015, seed=1))
     (tmp_path / "big.inst").write_text(serialize_instance(inst))
     (tmp_path / "big.csv").write_text(trace_to_csv(inst, solve(inst)[1]))

@@ -26,7 +26,6 @@ from popcrit import (
     delta,
     enumerate_matchings,
     generate_random_instance,
-    is_feasible,
     max_delta,
     parse_instance,
     parse_matching,
@@ -62,8 +61,8 @@ def test_deficiencies_of_the_three_reference_matchings(short_supply):
 
 
 def test_feasibility(short_supply, capacity_switch):
-    assert not is_feasible(short_supply, _load(short_supply, "short_supply_m2.match"))
-    assert is_feasible(capacity_switch, _load(capacity_switch, "capacity_switch_m1.match"))
+    assert deficiency(short_supply, _load(short_supply, "short_supply_m2.match")).total != 0
+    assert deficiency(capacity_switch, _load(capacity_switch, "capacity_switch_m1.match")).total == 0
 
 
 def test_partners_and_size(short_supply):

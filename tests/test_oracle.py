@@ -20,7 +20,6 @@ from popcrit import (
     dual_assignment,
     enumerate_matchings,
     generate_random_instance,
-    is_popular_among,
     max_delta,
     oracle_solve,
     parse_instance,
@@ -98,7 +97,7 @@ def test_oracle_agrees_with_popularity_filter(short_supply):
     by_hand = [
         m
         for m in critical
-        if is_popular_among(short_supply, m, (n for n in critical if n != m))
+        if all(max_delta(short_supply, m, n) <= 0 for n in critical if n != m)
     ]
     assert sorted(by_hand, key=lambda m: sorted(m.pairs)) == sorted(
         result.popular_critical, key=lambda m: sorted(m.pairs)

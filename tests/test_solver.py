@@ -26,6 +26,7 @@ from popcrit import (
 )
 
 import popcrit.solver
+from popcrit.cli import main
 from conftest import DATA, run_python
 from reference_trace_csv import reference_trace_csv
 from trace_checker import OUTCOMES, check_trace
@@ -295,15 +296,20 @@ def test_output_property_check_flags_tampering(short_supply, capacity_switch):
         assert message in check_output_properties(inst, tampered), message
 
 
-def test_trace_round_trip(capacity_switch):
+def test_trace_round_trip(capacity_switch, tmp_path, capsys):
     _, trace = solve(capacity_switch)
     text = trace_to_csv(capacity_switch, trace)
     rows = read_trace_csv(text)
     assert len(rows) == trace.proposal_count
     assert rows[0][0] == "1"
     assert read_trace_csv(text) == rows
-    with pytest.raises(ValueError, match="header"):
-        read_trace_csv("seq,a,b\n1,x,y\n")
+    bad = "seq,a,b\n1,x,y\n"
+    with pytest.raises(ValueError, match="header") as exc:
+        read_trace_csv(bad)
+    # popcrit trace reads a recording through the same reader.
+    (tmp_path / "bad.csv").write_text(bad)
+    assert main(["trace", str(DATA / "capacity_switch.inst"), str(tmp_path / "bad.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 # Names csv.writer must quote (a comma, a quote, a line break) or leaves
