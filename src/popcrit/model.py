@@ -312,6 +312,12 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The largest n_a * n_b that generate_random_instance accepts, 1000 x 1000:
+# at edge density 1 such an instance takes about 210 MB to generate.  A
+# larger request is refused before any drawing.
+_MAX_GEN_PAIRS = 1_000_000
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Parameters for the seeded random instance generator."""
@@ -332,10 +338,15 @@ def generate_random_instance(params: GenParams) -> Instance:
     lower-quota vertex with probability ``lq_fraction`` (its lower quota
     then uniform in 1..upper), and preference orders are uniformly random
     permutations of the sampled neighborhoods.  Identical params give an
-    identical instance.
+    identical instance.  More than 1,000,000 vertex pairs (``n_a * n_b``)
+    raise ValueError.
     """
     if params.n_a < 1 or params.n_b < 1:
         raise ValueError("need at least one vertex on each side")
+    if params.n_a * params.n_b > _MAX_GEN_PAIRS:
+        raise ValueError(
+            f"n_a * n_b must be at most {_MAX_GEN_PAIRS:,} vertex pairs"
+        )
     if params.max_upper < 1:
         raise ValueError("max_upper must be at least 1")
     if not 0.0 <= params.lq_fraction <= 1.0:

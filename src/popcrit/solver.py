@@ -16,17 +16,21 @@ lower quota.
 order.  It works on plain int vertex indices: it builds per-side quota,
 preference and rank tables once per call and keeps a per-receiver count of
 partners below level t, so each proposal costs O(1) apart from choosing
-the receiver's worst partner when it is full.  Each proposal is appended
-to one flat ``array`` of ints, ``_WIDTH`` per row; the row stores no quota,
-only what the quotas are read from (the level, and whether the receiver
-offered its lower or its upper quota).  ``Trace.events`` decodes that
-record into ``ProposalEvent``s on first access.  ``_csv_blocks`` renders
-it as CSV without decoding it: it quotes each name once per call into
-per-vertex cell tables, then yields the header and the rows of each block
-of ``_CHUNK`` proposals, taking each column of a block as one strided
-slice and joining one f-string per row.  ``trace_to_csv`` joins those
-pieces, and ``popcrit trace`` reads them back one block at a time.  The
-trace is deterministic: equal instances give byte-identical trace CSVs.
+the receiver's worst partner when it is full.  Each proposal appends one
+row of ``_WIDTH`` ints, packed by ``_ROW`` into 56 bytes, to one
+``bytearray``; the row stores no quota, only what the quotas are read from
+(the level, and whether the receiver offered its lower or its upper
+quota).  The trace holds a read-only ``memoryview`` of that buffer cast to
+ints, so the record is never copied.  The upper-quota invariant is checked
+after each proposal the receiver accepts, the only kind that can raise a
+count.  ``Trace.events`` decodes the record into ``ProposalEvent``s on
+first access.  ``_csv_blocks`` renders it as CSV without decoding it: it
+quotes each name once per call into per-vertex cell tables, then yields
+the header and the rows of each block of ``_CHUNK`` proposals, taking each
+column of a block as one strided slice and joining one f-string per row.
+``trace_to_csv`` joins those pieces, and ``popcrit trace`` reads them back
+one block at a time.  The trace is deterministic: equal instances give
+byte-identical trace CSVs.
 
 Every trace CSV is read through ``_trace_rows``, which checks the header
 and reports a CSV error as ValueError: ``read_trace_csv`` reads a text
@@ -37,10 +41,10 @@ from __future__ import annotations
 
 import csv
 import io
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from struct import Struct
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -58,6 +62,8 @@ Rejection = Optional[tuple[VertexId, int]]
 # lower quota), rejected A index (-1 for none), the rejected copy's level
 # and the matching size just after the proposal.
 _WIDTH = 7
+# The row as native 8-byte ints, as ``memoryview.cast("q")`` reads it.
+_ROW = Struct(f"{_WIDTH}q")
 
 
 class InvariantError(RuntimeError):
@@ -91,10 +97,12 @@ class ProposalEvent(NamedTuple):
 @dataclass(frozen=True)
 class Trace:
     """Every proposal of one run, as ``_WIDTH`` ints per row of
-    ``record``, in the order they were made."""
+    ``record``, in the order they were made.  ``record`` is a read-only
+    ``memoryview`` of format ``q``; it indexes, slices and iterates like a
+    flat sequence of ints, but cannot be pickled."""
 
     inst: Instance
-    record: array
+    record: memoryview
 
     @property
     def proposal_count(self) -> int:
@@ -149,7 +157,8 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
     queue = deque(a for a in range(n_a) if a_upper[a] > 0)
     queued = bytearray(a_upper[a] > 0 for a in range(n_a))
     cursors: dict[int, int] = {}
-    record = array("q")
+    record = bytearray()
+    pack = _ROW.pack
     count = 0
 
     while queue:
@@ -220,11 +229,12 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
             count += 1
             if count > budget:
                 raise InvariantError(f"proposal budget {budget} exceeded")
-            if len(mine) > a_upper[a] or len(held) > b_upper[b]:
+            # Only an accepted proposal can raise either count.
+            if rej != a and (len(mine) > a_upper[a] or len(held) > b_upper[b]):
                 raise InvariantError(
                     f"{a_names[a]} or {b_names[b]} is over its upper quota"
                 )
-            record.extend((a, level, b, upper_b, rej, rej_level, size))
+            record += pack(a, level, b, upper_b, rej, rej_level, size)
         elif level <= t or (level < top and len(a_held[a]) < a_lower[a]):
             queue.append(key + n_a)
             queued[a] = 1
@@ -240,7 +250,7 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
     }
     max_levels = {a_ids[a]: level for a, level in enumerate(max_level)}
     leveled = LeveledMatching(levels=levels, max_level=max_levels)
-    return leveled, Trace(inst, record)
+    return leveled, Trace(inst, memoryview(record).toreadonly().cast("q"))
 
 
 def check_output_properties(inst: Instance, leveled: LeveledMatching) -> list[str]:

@@ -145,17 +145,24 @@ def test_gen_to_stdout_then_solve(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value, message",
+    "args, message",
     [
-        ("--n-a", "0", "need at least one vertex on each side"),
-        ("--n-b", "0", "need at least one vertex on each side"),
-        ("--max-upper", "0", "max_upper must be at least 1"),
-        ("--lq-fraction", "1.5", "lq_fraction must lie in [0, 1]"),
-        ("--edge-density", "0", "edge_density must lie in (0, 1]"),
+        (("--n-a", "0"), "need at least one vertex on each side"),
+        (("--n-b", "0"), "need at least one vertex on each side"),
+        (("--max-upper", "0"), "max_upper must be at least 1"),
+        (("--lq-fraction", "1.5"), "lq_fraction must lie in [0, 1]"),
+        (("--edge-density", "0"), "edge_density must lie in (0, 1]"),
+        (
+            ("--n-a", "100000000", "--n-b", "2"),
+            "n_a * n_b must be at most 1,000,000 vertex pairs",
+        ),
     ],
+    # "--n-a-0-need at least ...": each argument joined, as separate
+    # parameters would be.
+    ids=lambda value: "-".join(value) if isinstance(value, tuple) else None,
 )
-def test_gen_refuses_a_bad_parameter(flag, value, message, capsys):
-    assert main(["gen", flag, value]) == 1
+def test_gen_refuses_a_bad_parameter(args, message, capsys):
+    assert main(["gen", *args]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

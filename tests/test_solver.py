@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from collections import Counter, deque
 
 import pytest
@@ -205,6 +206,42 @@ def test_invariants_survive_the_optimize_flag():
     assert run_python(code, "-O") == (
         "False a1 proposed to b1 again at level 0, already matched at level 0"
     )
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_upper_quota_invariant_holds_with_and_without_the_optimize_flag(flags):
+    # Below t, b1 offers its lower quota 1 and accepts a1, but its upper
+    # quota is 0; validate_instance would refuse such quotas.
+    code = (
+        "from popcrit import Instance, InvariantError, Quotas, Side, VertexId, solve\n"
+        "a1, b1 = VertexId(Side.A, 0), VertexId(Side.B, 0)\n"
+        "inst = Instance(('a1',), ('b1',), (Quotas(0, 1),), (Quotas(1, 0),), "
+        "((b1,),), ((a1,),))\n"
+        "try:\n"
+        "    solve(inst)\n"
+        "except InvariantError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    assert run_python(code, *flags) == f"{not flags} a1 or b1 is over its upper quota"
+
+
+def test_record_is_a_read_only_view_of_packed_rows():
+    params = GenParams(n_a=150, n_b=150, edge_density=0.015, seed=1)
+    inst = generate_random_instance(params)
+    tracemalloc.start()
+    try:
+        trace = solve(inst)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = trace.record
+    assert record.readonly
+    assert record.format == "q"
+    assert record.nbytes == 56 * trace.proposal_count
+    assert trace.proposal_count > 20_000
+    # Measured peak (Python 3.11): 2.58 MB, of which 1.29 MB is the record.
+    # A copy of the record at the end of solve would lift it past 3.8 MB.
+    assert peak < 3_200_000
 
 
 # ------------------------------------------------------------------ full runs
