@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -41,10 +42,8 @@ from .matchings import (
     deficiency,
     validate_correspondence,
 )
-from .model import Instance, Side, VertexId
+from .model import Edge, Instance, Side, VertexId
 from .solver import InvariantError, LeveledMatching
-
-Edge = tuple[VertexId, VertexId]
 
 
 class CloneKind(str, Enum):
@@ -126,14 +125,14 @@ class CloneEdges(Mapping[CloneEdge, int]):
     Iteration yields the edges block by block in the order above, and
     ``blocks`` hands out the table's entries themselves, offers and all.
     No caller depends on that order: ``verify_certificate`` sorts its
-    failures by edge.  ``len`` is counted when the mapping is built.
+    failures by edge.  ``len`` sums the blocks' sizes on each call; no
+    step of the pipeline asks for it.
     """
 
-    __slots__ = ("_table", "_size")
+    __slots__ = ("_table",)
 
     def __init__(self, table: dict[tuple, _Entry]) -> None:
         self._table = table
-        self._size = sum(len(left) * len(right) for left, _, right, _ in table.values())
 
     def blocks(self) -> Iterator[_Entry]:
         """Every edge, lifted pairs included, once, as the table's entries
@@ -163,7 +162,7 @@ class CloneEdges(Mapping[CloneEdge, int]):
                     yield u, w
 
     def __len__(self) -> int:
-        return self._size
+        return sum(len(left) * len(right) for left, _, right, _ in self._table.values())
 
 
 @dataclass(frozen=True)
@@ -171,14 +170,14 @@ class ClonedGraph:
     """The cloned graph of one leveled matching, with its lift ``mstar``.
 
     ``edges`` maps each canonical edge (A-side partition first) to its
-    weight, read from one table of blocks (see ``CloneEdges``).
+    weight, read from one table of blocks (see ``CloneEdges``).  The graph
+    stores each fact once: the lower-quota sums s and t are read from
+    ``inst``, and ``vertices`` is chained from ``clones_of``, ``resorts_of``
+    and ``dummies`` when first asked for.
     """
 
     inst: Instance
     leveled: LeveledMatching
-    s: int
-    t: int
-    vertices: tuple[CloneId, ...]
     edges: CloneEdges
     mstar: Mapping[CloneId, CloneId]
     # A vertex's partition side is its side of the bipartition, so only
@@ -188,6 +187,13 @@ class ClonedGraph:
     # Clones and last-resorts of each vertex, in ordinal order.
     clones_of: Mapping[VertexId, tuple[CloneId, ...]]
     resorts_of: Mapping[VertexId, tuple[CloneId, ...]]
+
+    @cached_property
+    def vertices(self) -> tuple[CloneId, ...]:
+        """Every clone, then every last-resort, each in its owner's order,
+        then the dummies, A side first."""
+        tables = (self.clones_of, self.resorts_of, self.dummies)
+        return tuple(u for table in tables for group in table.values() for u in group)
 
     def clone_name(self, u: CloneId) -> str:
         return f"{self._name_stem(u)}.{u.ordinal}"
@@ -323,15 +329,9 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     for side, pool in dummies.items():
         join(side_clones[side], _UNRANKED, dict.fromkeys(pool, _UNRANKED), _UNRANKED)
 
-    vertices = tuple(
-        chain(*clones_of.values(), *resorts_of.values(), *dummies.values())
-    )
     return ClonedGraph(
         inst=inst,
         leveled=leveled,
-        s=s,
-        t=t,
-        vertices=vertices,
         edges=CloneEdges(table),
         mstar=mstar,
         level=level,
@@ -351,12 +351,14 @@ def dual_assignment(g: ClonedGraph) -> DualCertificate:
 
     A vertex in the A-side partition at level x gets 2(t - x) + 1 and its
     B-side mirror the negation, so lifted pairs cancel; last-resorts and
-    clones parked on a last-resort get 0.  Raises ValueError when a vertex
-    sits outside the level range, which cannot happen for graphs built by
-    build_cloned_graph.
+    clones parked on a last-resort get 0.  s and t, the lower-quota sums of
+    sides A and B, are read from ``g.inst``.  Raises ValueError when a
+    vertex sits outside the level range 0..s + t + 1, which cannot happen
+    for graphs built by build_cloned_graph.
     """
     alpha: dict[CloneId, int] = {}
-    mstar, levels, t, top = g.mstar, g.level, g.t, g.s + g.t + 1
+    s, t = g.inst.sum_lower(Side.A), g.inst.sum_lower(Side.B)
+    mstar, levels, top = g.mstar, g.level, s + t + 1
     for u in g.vertices:
         if u.kind is _LAST_RESORT or (
             u.kind is _CLONE and mstar[u].kind is _LAST_RESORT

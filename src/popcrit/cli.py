@@ -69,7 +69,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"# size {m.size}")
     print(f"# proposals {trace.proposal_count}")
     if args.emit_trace:
-        Path(args.emit_trace).write_text(trace_to_csv(inst, trace))
+        Path(args.emit_trace).write_text(trace_to_csv(trace))
     if args.emit_certificate:
         g = build_cloned_graph(inst, leveled)
         cert = dual_assignment(g)
@@ -152,7 +152,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _fresh_rows(inst: Instance) -> Iterator[list[str]]:
     """The rows of a fresh trace of inst, read back one block at a time.
     inst is solved when the first row is asked for."""
-    blocks = _csv_blocks(inst, solve(inst)[1])
+    blocks = _csv_blocks(solve(inst)[1])
     yield from _trace_rows(line for block in blocks for line in io.StringIO(block))
 
 

@@ -38,9 +38,8 @@ from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from .model import Instance, Side, VertexId
+from .model import Edge, Instance, Side, VertexId
 
-Edge = tuple[VertexId, VertexId]
 CorrPair = tuple[Optional[VertexId], Optional[VertexId]]
 
 
@@ -104,26 +103,43 @@ class Matching:
         return len(self.pairs)
 
 
+def _vertex_pair(e) -> bool:
+    """Whether e is a pair of vertex ids, which sorts with other such pairs."""
+    return isinstance(e, tuple) and list(map(type, e)) == [VertexId, VertexId]
+
+
+def _vertex_order(v) -> tuple:
+    """A sort key that keeps vertex ids as they are, in their own order, and
+    puts anything else after them, by its repr, so that a mix sorts the same
+    under every hash seed instead of raising TypeError.  A vertex id is its
+    own key, so a list of them sorts almost as fast as without a key."""
+    return v if isinstance(v, VertexId) else (Side.B, math.inf, repr(v))
+
+
 def check_matching(inst: Instance, m: Matching) -> None:
     """Raise MatchingError unless every pair is an edge and no upper quota
     is exceeded.
 
     Of several bad pairs the least is reported, so the message does not
-    depend on the hash seed.  m remembers the instance it last passed
-    with, and a repeat check against that same object returns at once.
+    depend on the hash seed.  An entry that is no pair of vertex ids does
+    not sort with the others, so when there is one the message names no
+    pair.  m remembers the instance it last passed with, and a repeat check
+    against that same object returns at once.
     """
     if _passed(m, inst):
         return
     # Every edge of the instance is an (A-vertex, B-vertex) pair, so this
-    # one difference also holds every pair on the wrong sides.
+    # one difference also holds every pair on the wrong sides, and every
+    # entry that is no pair of vertex ids.  Only the latter do not sort.
     stray = m.pairs - inst.edges
     if stray:
-        a, b = min(stray)
-        if a.side is not Side.A or b.side is not Side.B:
-            raise MatchingError("matching pairs must be (A-vertex, B-vertex)")
-        raise MatchingError(
-            f"({inst.label(a)}, {inst.label(b)}) is not an edge of the instance"
-        )
+        if all(map(_vertex_pair, stray)):
+            a, b = min(stray)
+            if a.side is Side.A and b.side is Side.B:
+                raise MatchingError(
+                    f"({inst.label(a)}, {inst.label(b)}) is not an edge of the instance"
+                )
+        raise MatchingError("matching pairs must be (A-vertex, B-vertex)")
     for v in inst.all_vertices():
         if len(m.partners(v)) > inst.upper(v):
             raise MatchingError(
@@ -275,13 +291,13 @@ def validate_correspondence(
         return
     unknown = set(corr.pairs) - set(inst.all_vertices())
     if unknown:
-        names = ", ".join(map(repr, sorted(unknown)))
+        names = ", ".join(map(repr, sorted(unknown, key=_vertex_order)))
         raise ValueError(f"correspondence mentions unknown vertices: {{{names}}}")
     for v in inst.all_vertices():
         listed = corr.pairs.get(v, ())
         reals = (
-            sorted([x for x, _ in listed if x is not None]),
-            sorted([y for _, y in listed if y is not None]),
+            sorted([x for x, _ in listed if x is not None], key=_vertex_order),
+            sorted([y for _, y in listed if y is not None], key=_vertex_order),
         )
         padded = _padded_difference(m.partners(v), n.partners(v))
         for side, real, want in zip("xy", reals, padded):

@@ -36,6 +36,9 @@ class VertexId(NamedTuple):
     index: int
 
 
+Edge = tuple[VertexId, VertexId]
+
+
 class Quotas(NamedTuple):
     lower: int
     upper: int
@@ -116,7 +119,7 @@ class Instance:
         return out
 
     @cached_property
-    def edges(self) -> frozenset[tuple[VertexId, VertexId]]:
+    def edges(self) -> frozenset[Edge]:
         """All mutually acceptable (a, b) pairs."""
         return frozenset(
             (a, b) for a in self.vertices(Side.A) for b in self.pref(a)
@@ -130,14 +133,9 @@ class Instance:
         return out
 
     def sum_lower(self, side: Side) -> int:
-        return self._lower_sums[side]
-
-    @cached_property
-    def _lower_sums(self) -> dict[Side, int]:
-        return {
-            Side.A: sum(q.lower for q in self.a_quotas),
-            Side.B: sum(q.lower for q in self.b_quotas),
-        }
+        """The lower quotas of one side summed, afresh on each call."""
+        quotas = self.a_quotas if side is Side.A else self.b_quotas
+        return sum(q.lower for q in quotas)
 
 
 @dataclass

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
-from .matchings import Edge, Matching, shortfall, vertex_gain
-from .model import Instance, Side
+from .matchings import Matching, shortfall, vertex_gain
+from .model import Edge, Instance, Side
 
 DEFAULT_EDGE_BUDGET = 14
 # A search over 2**64 subsets never finishes, so no budget takes the
@@ -40,7 +40,7 @@ def _scored_matchings(
     deficiency is a running count, moved on every take and undo by how
     much the vertex's ``shortfall`` changes.  Raises ValueError, on the
     first step, when the instance has more than max_edges edges or more
-    than EDGE_CEILING.
+    than EDGE_CEILING, or lists an edge at its A end only.
     """
     edges = sorted(inst.edges)
     if len(edges) > max_edges:
@@ -52,28 +52,26 @@ def _scored_matchings(
             f"instance has {len(edges)} edges, and the oracle refuses more "
             f"than {EDGE_CEILING} at any budget"
         )
+    # An edge its B end does not list would outgrow that end's degree.
+    for a, b in edges:
+        inst.rank(b, a)
     vertices = list(inst.all_vertices())
     pos = {v: k for k, v in enumerate(vertices)}
+    lower = [inst.lower(v) for v in vertices]
     upper = [inst.upper(v) for v in vertices]
     ends = [(pos[a], pos[b]) for a, b in edges]
-    degree = [0] * len(vertices)
-    for a, b in ends:
-        degree[a] += 1
-        degree[b] += 1
     # drop[k][h]: how much vertex k's shortfall falls when it goes from
     # holding h partners to h + 1.  A vertex never holds more partners
     # than its degree, however large its upper quota.
     drop = [
         [shortfall(lo, h) - shortfall(lo, h + 1) for h in range(min(up, deg))]
-        for lo, up, deg in zip((inst.lower(v) for v in vertices), upper, degree)
+        for lo, up, deg in zip(lower, upper, map(inst.degree, vertices))
     ]
     held = [0] * len(vertices)
     taken = [False] * len(edges)
     chosen: list[Edge] = []
-    da, db = (
-        sum(shortfall(inst.lower(v), 0) for v in inst.vertices(side))
-        for side in (Side.A, Side.B)
-    )
+    # With no partner, each vertex falls short by its whole lower quota.
+    da, db = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
     while True:
         yield tuple(chosen), da, db
         for i in range(len(edges) - 1, -1, -1):

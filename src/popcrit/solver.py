@@ -24,8 +24,10 @@ quota).  The trace holds a read-only ``memoryview`` of that buffer cast to
 ints, so the record is never copied.  The upper-quota invariant is checked
 after each proposal the receiver accepts, the only kind that can raise a
 count.  ``Trace.events`` decodes the record into ``ProposalEvent``s on
-first access.  ``_csv_blocks`` renders it as CSV without decoding it: it
-quotes each name once per call into per-vertex cell tables, then yields
+first access.  ``_csv_blocks`` renders it as CSV without decoding it,
+naming the vertices of the trace's own instance ``Trace.inst``, so a
+trace cannot be rendered against another instance: it quotes each name
+once per call into per-vertex cell tables, then yields
 the header and the rows of each block of ``_CHUNK`` proposals, taking each
 column of a block as one strided slice and joining one f-string per row.
 ``trace_to_csv`` joins those pieces, and ``popcrit trace`` reads them back
@@ -49,9 +51,7 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .matchings import Matching
-from .model import Instance, Side, VertexId
-
-Edge = tuple[VertexId, VertexId]
+from .model import Edge, Instance, Side, VertexId
 
 # A rejected copy is a (vertex, level) pair; None means nothing was
 # rejected by the proposal.
@@ -332,10 +332,10 @@ def _csv_cells(names: Iterable[str]) -> list[str]:
 _CHUNK = 8192
 
 
-def _csv_blocks(inst: Instance, trace: Trace) -> Iterator[str]:
+def _csv_blocks(trace: Trace) -> Iterator[str]:
     """The trace CSV in pieces: the header line, then the rows of each block
     of ``_CHUNK`` proposals, byte for byte as ``csv.writer`` would write
-    them.
+    them.  Names and quotas are read from ``trace.inst``.
 
     Each name is quoted once per call, by ``csv.writer`` itself, into cell
     tables: per A vertex its name and ``,c_a,`` for either quota, per
@@ -345,6 +345,7 @@ def _csv_blocks(inst: Instance, trace: Trace) -> Iterator[str]:
     one strided slice of the record, the ``rejected`` column is built
     first, and each row is one f-string over the tables.
     """
+    inst, rec = trace.inst, trace.record
     t = inst.sum_lower(Side.B)
     a_cells = _csv_cells(inst.a_names)
     # Indexed by ``level > t + 1``: the upper quota through level t + 1.
@@ -361,7 +362,6 @@ def _csv_blocks(inst: Instance, trace: Trace) -> Iterator[str]:
         rej_prefix.append(cell[:-1] if quoted else cell)
         rej_suffix.append('"' if quoted else "")
 
-    rec = trace.record
     step = _CHUNK * _WIDTH
     yield ",".join(_CSV_COLUMNS) + "\n"
     for lo in range(0, len(rec), step):
@@ -381,10 +381,11 @@ def _csv_blocks(inst: Instance, trace: Trace) -> Iterator[str]:
         ])
 
 
-def trace_to_csv(inst: Instance, trace: Trace) -> str:
+def trace_to_csv(trace: Trace) -> str:
     """Render a trace as CSV with one row per proposal, byte for byte as
-    ``csv.writer`` would write the rows."""
-    return "".join(_csv_blocks(inst, trace))
+    ``csv.writer`` would write the rows, naming the vertices of the
+    instance the trace was solved on."""
+    return "".join(_csv_blocks(trace))
 
 
 def _trace_rows(lines: Iterable[str]) -> Iterator[list[str]]:

@@ -7,7 +7,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from popcrit import Instance, Side
-from popcrit.matchings import Edge, shortfall
+from popcrit.matchings import shortfall
+from popcrit.model import Edge
 from popcrit.oracle import EDGE_CEILING
 
 

@@ -253,7 +253,7 @@ def test_trace_replay_holds_no_row_lists(tmp_path, capsys):
     # block by block, peaks at 5.6 MB.
     inst = generate_random_instance(GenParams(n_a=200, n_b=200, edge_density=0.015, seed=1))
     (tmp_path / "big.inst").write_text(serialize_instance(inst))
-    (tmp_path / "big.csv").write_text(trace_to_csv(inst, solve(inst)[1]))
+    (tmp_path / "big.csv").write_text(trace_to_csv(solve(inst)[1]))
     tracemalloc.start()
     try:
         code = main(["trace", str(tmp_path / "big.inst"), str(tmp_path / "big.csv")])

@@ -128,6 +128,58 @@ def test_pairs_naming_unknown_vertices_raise_a_matching_error(short_supply):
             max_delta(short_supply, m2, bad)
 
 
+_NOT_A_PAIR = "matching pairs must be (A-vertex, B-vertex)"
+_A1, _A2 = VertexId(Side.A, 0), VertexId(Side.A, 1)
+_B1, _B2 = VertexId(Side.B, 0), VertexId(Side.B, 1)
+
+
+@pytest.mark.parametrize(
+    "check, error, message",
+    [
+        (
+            lambda inst, m1: check_matching(inst, Matching(frozenset({("a", "b")}))),
+            MatchingError,
+            _NOT_A_PAIR,
+        ),
+        (
+            lambda inst, m1: check_matching(
+                inst,
+                Matching(frozenset({("a", "b"), (_A1, VertexId(Side.B, 9))})),
+            ),
+            MatchingError,
+            _NOT_A_PAIR,
+        ),
+        (
+            lambda inst, m1: validate_correspondence(
+                inst, m1, m1, Correspondence({"x": (), VertexId(Side.A, 99): ()})
+            ),
+            ValueError,
+            "correspondence mentions unknown vertices: "
+            "{VertexId(side=<Side.A: 'A'>, index=99), 'x'}",
+        ),
+        (
+            # a1 is listed as it must be; a2 holds nothing in m1 and b2 in m2.
+            lambda inst, m1: validate_correspondence(
+                inst, m1, _load(inst, "short_supply_m2.match"),
+                Correspondence({_A1: ((_B2, None),), _A2: (("x", _B2), (_B1, None))}),
+            ),
+            ValueError,
+            "correspondence at a2 does not list the x side of its partner-set "
+            "difference exactly once, with bottoms padding only the shorter side",
+        ),
+    ],
+    ids=["strings", "strings_and_ids", "unknown_keys", "mixed_side"],
+)
+def test_entries_that_are_not_vertex_ids_raise_the_promised_error(
+    short_supply, check, error, message
+):
+    # Such entries do not sort with vertex ids, and strings hash by the
+    # seed, so the message must be chosen without sorting them together.
+    with pytest.raises(error) as raised:
+        check(short_supply, _load(short_supply, "short_supply_m1.match"))
+    assert str(raised.value) == message
+
+
 def test_blocking_pairs_on_reference_matchings(short_supply):
     # M1 leaves a2 unmatched, but both b's are full with partners they
     # prefer over a2, so nothing blocks

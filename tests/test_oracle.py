@@ -264,6 +264,18 @@ def test_search_raises_its_budget_and_ceiling_errors_on_the_first_step():
                 next(steps)
 
 
+def test_search_refuses_an_edge_its_b_end_does_not_list():
+    # Each vertex's degree bounds the partners it can hold, and b1 would
+    # hold two partners while listing one.
+    mutual = parse_instance(
+        "A a1 0 1\nA a2 0 1\nB b1 0 2\nPREF a1 b1\nPREF a2 b1\nPREF b1 a1 a2"
+    )
+    inst = dataclasses.replace(mutual, b_prefs=(mutual.b_prefs[0][:1],))
+    for run in (oracle_solve, lambda i: list(enumerate_matchings(i))):
+        with pytest.raises(ValueError, match="a2 is not on the preference list of b1"):
+            run(inst)
+
+
 def test_oracle_answers_at_once_for_quotas_beyond_64_bits():
     # Only the degree bounds how many partners a vertex holds, so a quota of
     # 10**20 costs the oracle nothing.

@@ -57,7 +57,7 @@ def replay(inst):
     """Solve, replay the trace against the rules and return the rows with
     the outcome each one shows."""
     leveled, trace = solve(inst)
-    text = trace_to_csv(inst, trace)
+    text = trace_to_csv(trace)
     outcomes, levels = check_trace(inst, text)
     assert levels == leveled.levels
     return list(zip(read_trace_csv(text), outcomes))
@@ -176,7 +176,7 @@ def test_trace_replay_sees_every_outcome(short_supply, one_post, capacity_switch
 
 
 def test_trace_replay_rejects_a_tampered_row(short_supply):
-    lines = trace_to_csv(short_supply, solve(short_supply)[1]).splitlines()
+    lines = trace_to_csv(solve(short_supply)[1]).splitlines()
     assert lines[2] == "2,a2,0,2,b2,1,a2^0,1"
     for column, value in ((3, "1"), (4, "b1"), (5, "2"), (6, "-"), (7, "2")):
         row = lines[2].split(",")
@@ -258,7 +258,7 @@ def test_solve_first_reference_instance(short_supply):
 
 def test_first_reference_trace_is_stable(short_supply):
     _, trace = solve(short_supply)
-    assert trace_to_csv(short_supply, trace) == (DATA / "short_supply_trace.csv").read_text()
+    assert trace_to_csv(trace) == (DATA / "short_supply_trace.csv").read_text()
 
 
 def test_solve_second_reference_instance(capacity_switch):
@@ -335,7 +335,7 @@ def test_output_property_check_flags_tampering(short_supply, capacity_switch):
 
 def test_trace_round_trip(capacity_switch, tmp_path, capsys):
     _, trace = solve(capacity_switch)
-    text = trace_to_csv(capacity_switch, trace)
+    text = trace_to_csv(trace)
     rows = read_trace_csv(text)
     assert len(rows) == trace.proposal_count
     assert rows[0][0] == "1"
@@ -377,7 +377,7 @@ def test_trace_csv_matches_the_row_by_row_reference(short_supply, one_post, capa
     for inst in instances:
         for named in (inst, with_awkward_names(inst)):
             trace = solve(named)[1]
-            text = trace_to_csv(named, trace)
+            text = trace_to_csv(trace)
             assert text == reference_trace_csv(named, trace)
             quoted_rejections += text.count(',"x,^')
     # A rejected copy of a name that needs quoting was rendered.
@@ -390,7 +390,7 @@ def test_trace_csv_longer_than_two_blocks_matches_the_reference():
     trace = solve(inst)[1]
     assert trace.proposal_count > 2 * popcrit.solver._CHUNK
     assert trace.proposal_count % popcrit.solver._CHUNK != 0
-    assert trace_to_csv(inst, trace) == reference_trace_csv(inst, trace)
+    assert trace_to_csv(trace) == reference_trace_csv(inst, trace)
 
 
 def test_matching_size_moves_by_one_edge_per_proposal():
@@ -405,8 +405,8 @@ def test_matching_size_moves_by_one_edge_per_proposal():
 
 
 def test_solve_is_deterministic(capacity_switch):
-    first = trace_to_csv(capacity_switch, solve(capacity_switch)[1])
-    second = trace_to_csv(capacity_switch, solve(capacity_switch)[1])
+    first = trace_to_csv(solve(capacity_switch)[1])
+    second = trace_to_csv(solve(capacity_switch)[1])
     assert first == second
 
 
@@ -430,7 +430,7 @@ def test_outcome_does_not_depend_on_the_queue_order(
     def outcome(inst):
         leveled, trace = solve(inst)
         proposals = Counter((ev.proposer, ev.level, ev.receiver) for ev in trace.events)
-        return leveled.levels, leveled.max_level, proposals, trace_to_csv(inst, trace)
+        return leveled.levels, leveled.max_level, proposals, trace_to_csv(trace)
 
     fifo = [outcome(inst) for inst in instances]
     monkeypatch.setattr(popcrit.solver, "deque", _LifoQueue)
