@@ -9,13 +9,17 @@ covers every dummy.  Edge weights on the cloned graph encode the votes a
 pair of vertices would cast for using that edge instead of keeping their
 current partners, so any rival matching mapped onto the clones has total
 weight equal to its vote advantage.  The weights depend only on the lift,
-so the graph keeps no pair: every edge, lifted or not, lies in one block
-of a table, a product of two groups of vertices each offered one rank,
-and its weight is the two ends' votes for those ranks against the ranks
-they hold (see ``CloneEdges``).  Each real edge (a, b) stands for
-upper(a)·upper(b) clone pairs.  The verifier reads each block as stored,
-its two sides and their two offers, and checks its pairs by classes of
-equal values, working out each member's vote as it forms the classes.
+so the graph keeps no pair.  A lifted clone–clone pair, the lift of a
+matched edge, weighs 0 and is read from the lift itself.  Every other
+edge lies in one block of a table, a product of two groups of vertices
+each offered one rank, and its weight is the two ends' votes for those
+ranks against the ranks they hold (see ``CloneEdges``).  Each unmatched
+real edge (a, b) stands for upper(a)·upper(b) clone pairs.  The verifier
+checks the lifted clone–clone pairs on the lift, and reads each block as
+stored, its two sides and their two offers.  It groups each side once
+per call by alpha and level, sorted by held rank; a block's offer cuts
+each group by bisection into classes of equal vote, and the checks run
+once per pair of classes.
 
 Popularity then reduces to a linear-programming fact: the closed-form
 dual assignment below is feasible for the maximum-weight perfect-matching
@@ -28,10 +32,11 @@ together edge by edge.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .matchings import (
@@ -105,11 +110,11 @@ class CloneEdges(Mapping[CloneEdge, int]):
     """The edges of a cloned graph, each canonical edge (A-side partition
     first) mapped to its weight.
 
-    Every edge lies in one block of a table built with the graph, in this
-    order:
+    The lifted clone–clone pairs, one per matched real edge (a, b), are
+    read from the lift the graph was built with: each weighs 0, and every
+    other pair of a's clones with b's clones is a non-edge.  Every other
+    edge lies in one block of a table built with the graph, in this order:
 
-    - one per matched real edge (a, b), in sorted order: the lifted pair,
-      each end offered the rank it holds, so that the pair weighs 0;
     - one per vertex, A side first: its last-resort-adjacent clones × its
       last-resorts;
     - one per unmatched real edge (a, b), in a's declaration order and
@@ -122,23 +127,32 @@ class CloneEdges(Mapping[CloneEdge, int]):
     the block offers against what they hold (``matchings._rank_vote``): a
     clone gives up a real partner at -1, and a dummy or last-resort votes 0.
 
-    Iteration yields the edges block by block in the order above, and
+    Iteration yields the lifted clone–clone pairs in sorted order of their
+    real edges, then the edges block by block in the order above, and
     ``blocks`` hands out the table's entries themselves, offers and all.
     No caller depends on that order: ``verify_certificate`` sorts its
-    failures by edge.  ``len`` sums the blocks' sizes on each call; no
-    step of the pipeline asks for it.
+    failures by edge.  ``len`` counts the lifted clone–clone pairs and sums
+    the blocks' sizes on each call; no step of the pipeline asks for it.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_lift")
 
-    def __init__(self, table: dict[tuple, _Entry]) -> None:
+    def __init__(self, table: dict[tuple, _Entry], lift: dict[CloneId, CloneId]) -> None:
         self._table = table
+        self._lift = lift
+
+    def _lifted(self) -> Iterator[CloneEdge]:
+        """The lifted clone–clone pairs, A end first, in the order the lift
+        took them."""
+        # A clone is the only kind lifted onto its own kind.
+        pairs = self._lift.items()
+        return ((u, w) for u, w in pairs if u.kind is w.kind and u.side is _SIDE_A)
 
     def blocks(self) -> Iterator[_Entry]:
-        """Every edge, lifted pairs included, once, as the table's entries
-        (left, left_offer, right, right_offer), as they were stored: the
-        edges left × right, each of canonical orientation.  The pair (u, w)
-        weighs ``_rank_vote(left[u], left_offer) + _rank_vote(right[w],
+        """Every edge but the lifted clone–clone pairs, once, as the table's
+        entries (left, left_offer, right, right_offer), as they were stored:
+        the edges left × right, each of canonical orientation.  The pair
+        (u, w) weighs ``_rank_vote(left[u], left_offer) + _rank_vote(right[w],
         right_offer)``, and only a real edge's block offers real ranks."""
         return iter(self._table.values())
 
@@ -149,6 +163,9 @@ class CloneEdges(Mapping[CloneEdge, int]):
             raise KeyError(e) from None
         if not (isinstance(u, CloneId) and isinstance(w, CloneId)):
             raise KeyError(e)
+        # A lifted clone–clone pair lies in no block, and weighs 0.
+        if u.kind is w.kind and u.side is _SIDE_A and self._lift.get(u) == w:
+            return 0
         try:
             left, left_offer, right, right_offer = self._table[_block_key(u, w)]
             return _rank_vote(left[u], left_offer) + _rank_vote(right[w], right_offer)
@@ -156,13 +173,13 @@ class CloneEdges(Mapping[CloneEdge, int]):
             raise KeyError(e) from None
 
     def __iter__(self) -> Iterator[CloneEdge]:
+        yield from self._lifted()
         for left, _, right, _ in self._table.values():
-            for u in left:
-                for w in right:
-                    yield u, w
+            yield from product(left, right)
 
     def __len__(self) -> int:
-        return sum(len(left) * len(right) for left, _, right, _ in self._table.values())
+        blocks = sum(len(left) * len(right) for left, _, right, _ in self._table.values())
+        return blocks + sum(1 for _ in self._lifted())
 
 
 @dataclass(frozen=True)
@@ -170,7 +187,8 @@ class ClonedGraph:
     """The cloned graph of one leveled matching, with its lift ``mstar``.
 
     ``edges`` maps each canonical edge (A-side partition first) to its
-    weight, read from one table of blocks (see ``CloneEdges``).  The graph
+    weight, read from the lift for a lifted clone–clone pair and from one
+    table of blocks for every other edge (see ``CloneEdges``).  The graph
     stores each fact once: the lower-quota sums s and t are read from
     ``inst``, and ``vertices`` is chained from ``clones_of``, ``resorts_of``
     and ``dummies`` when first asked for.
@@ -230,8 +248,9 @@ def _park(
 def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     """Construct the cloned graph and its one-to-one lift of the matching.
 
-    Matched edges take clones first, in sorted edge order, and each lifted
-    pair is joined as a block of its own.  Then one pass over the
+    Matched edges take clones first, in sorted edge order; their lifted
+    pairs join no block, since ``CloneEdges`` reads them from the lift.
+    Then one pass over the
     vertices, A side first, treats each vertex in turn: its remaining
     clones are parked (``_park``) on the next dummies of its side and on
     its last-resorts, and its last-resort block is joined.  Clones of a
@@ -289,11 +308,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     for a, b in sorted(m.pairs):
         ai, bj = next(free_clones[a]), next(free_clones[b])
         bond(ai, bj, leveled.levels[(a, b)])
-        ra, rb = ranks[a][b], ranks[b][a]
-        holding[a][ai], holding[b][bj] = ra, rb
-        # Each end is offered what it holds, so the lifted pair weighs 0.
-        # a's clone is the left side.
-        table[_block_key(ai, bj)] = ({ai: ra}, ra, {bj: rb}, rb)
+        holding[a][ai], holding[b][bj] = ranks[a][b], ranks[b][a]
 
     resort_level = {Side.A: t + 1, Side.B: t}
     free_dummies = {side: iter(pool) for side, pool in dummies.items()}
@@ -332,7 +347,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     return ClonedGraph(
         inst=inst,
         leveled=leveled,
-        edges=CloneEdges(table),
+        edges=CloneEdges(table, mstar),
         mstar=mstar,
         level=level,
         dummies=dummies,
@@ -419,21 +434,28 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     the same level and exactly -2 one level down.  The weights are the ones
     ``g.edges`` gives.
 
-    Every edge lies in one block (``CloneEdges.blocks``): two sides, each
-    offered one rank.  An edge weighs the sum of its ends' terms, each
-    end's vote for its side's offer against the rank it holds, and it is a
-    true edge when the block offers real ranks.  Its checks other than
-    tightness (``_pair_failures``) read it only through each end's alpha,
-    term and level, and that flag.  So each side of a block is grouped into
-    classes of members equal in those three values; the checks run once per
-    pair of classes, and a failing pair of classes names each pair of its
-    members.  A side is a dict of members and the ranks they hold, and a
-    vertex's clones are one dict shared by all the blocks they sit in, so
-    each side's rows (member, held, alpha, level) are read out once per
-    call, keyed by the dict's identity; a block groups those rows, working
-    out each term (``matchings._rank_vote``) as its row is grouped.
-    Tightness is checked on the lift.  The failures name the same edges, in
-    the same order, as a check of every pair would.
+    Every edge but the lifted clone–clone pairs lies in one block
+    (``CloneEdges.blocks``): two sides, each offered one rank.  An edge
+    weighs the sum of its ends' terms, each end's vote for its side's offer
+    against the rank it holds, and it is a true edge when the block offers
+    real ranks.  Its checks other than tightness (``_pair_failures``) read
+    it only through each end's alpha, term and level, and that flag.  So
+    each side of a block is split into classes of members equal in those
+    three values; the checks run once per pair of classes, and a failing
+    pair of classes names each pair of its members.  A side is a dict of
+    members and the ranks they hold, and a vertex's clones are one dict
+    shared by all the blocks they sit in, so each side is grouped once per
+    call, keyed by the dict's identity, by alpha and level, each group
+    sorted by held rank.  A block's offer cuts each group by bisection into
+    the members holding better ranks, the same rank and worse ranks, whose
+    terms (``matchings._rank_vote``) are -1, 0 and 1: a class per nonempty
+    cut, at a cost per group rather than per member.
+
+    The lifted pairs are checked in one walk over the lift: each lifted
+    clone–clone pair, a true edge of weight 0, gets the checks of
+    ``_pair_failures``, and then every lifted pair is checked for
+    tightness.  The failures name the same edges, in the same order, as a
+    check of every pair would.
     """
     alpha, level = cert.alpha, g.level
     failures: list[str] = []
@@ -451,52 +473,66 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
         results[check] = False
         failures.append(f"{check}: {message}")
 
-    def label(u: CloneId, w: CloneId) -> str:
-        return f"({g.clone_name(u)}, {g.clone_name(w)})"
-
     # Failures on edges are reported in edge order.  Only they are sorted,
     # and stably, so each edge keeps its checks in the order they ran:
-    # tightness, checked after the blocks, comes last.
+    # tightness, checked last on each lifted pair, comes last.
     edge_failures: list[tuple[CloneEdge, str, str]] = []
-    # Each side's rows, by the side's identity: the table keeps every side
-    # alive, so no identity is reused within the call.
-    rows_of: dict[int, list[tuple[CloneId, float, int, int]]] = {}
 
-    def classes(
-        members: dict[CloneId, float], offer: float
-    ) -> dict[tuple[int, int, int], list[CloneId]]:
+    def flag(u: CloneId, w: CloneId, check: str, message: str) -> None:
+        """Record that the edge (u, w) fails the check; ``{}`` in the
+        message stands for the edge."""
+        name = f"({g.clone_name(u)}, {g.clone_name(w)})"
+        edge_failures.append(((u, w), check, message.format(name)))
+
+    # Each side's members grouped by (alpha, level), each group's members and
+    # the ranks they hold sorted by held rank, by the side's identity: the
+    # table keeps every side alive, so no identity is reused within the call.
+    groups_of: dict[int, dict[tuple[int, int], tuple[list[float], list[CloneId]]]] = {}
+
+    def classes(members: dict[CloneId, float], offer: float) -> Iterator[tuple]:
         """The members grouped by (alpha, term, level), where a member's term
-        is its vote for the offer against the rank it holds."""
-        rows = rows_of.get(id(members))
-        if rows is None:
-            rows = rows_of[id(members)] = [
-                (u, held, alpha[u], level[u]) for u, held in members.items()
-            ]
-        out: dict[tuple[int, int, int], list[CloneId]] = {}
-        for u, held, alpha_u, x in rows:
-            out.setdefault((alpha_u, _rank_vote(held, offer), x), []).append(u)
-        return out
+        is its vote for the offer against the rank it holds, each class as
+        (alpha, term, level, us, lo, hi) for its members us[lo:hi]."""
+        groups = groups_of.get(id(members))
+        if groups is None:
+            groups = groups_of[id(members)] = {}
+            for u in sorted(members, key=members.__getitem__):
+                helds, us = groups.setdefault((alpha[u], level[u]), ([], []))
+                helds.append(members[u])
+                us.append(u)
+        for (alpha_u, x), (helds, us) in groups.items():
+            # The offer cuts a group into the members holding better ranks,
+            # the same rank and worse ranks, whose terms (matchings._rank_vote)
+            # are -1, 0 and 1.
+            i = bisect_left(helds, offer)
+            j = bisect_right(helds, offer, i)
+            if i:
+                yield alpha_u, -1, x, us, 0, i
+            if j > i:
+                yield alpha_u, 0, x, us, i, j
+            if j < len(us):
+                yield alpha_u, 1, x, us, j, len(us)
 
     for left, left_offer, right, right_offer in g.edges.blocks():
-        # Only a real edge's block offers real ranks.
-        true_edge = left_offer < _UNRANKED
-        rights = classes(right, right_offer)
-        for (alpha_u, f, x), us in classes(left, left_offer).items():
-            for (alpha_w, h, y), ws in rights.items():
-                for check, message in _pair_failures(
-                    alpha_u + alpha_w, f + h, x, y, true_edge
+        rights = list(classes(right, right_offer))
+        for alpha_u, f, x, us, i, j in classes(left, left_offer):
+            for alpha_w, h, y, ws, k, n in rights:
+                # Only a real edge's block offers real ranks.
+                for failure in _pair_failures(
+                    alpha_u + alpha_w, f + h, x, y, left_offer < _UNRANKED
                 ):
-                    edge_failures.extend(
-                        ((u, w), check, message.format(label(u, w)))
-                        for u in us
-                        for w in ws
-                    )
+                    for u, w in product(us[i:j], ws[k:n]):
+                        flag(u, w, *failure)
     for u, w in g.mstar.items():
-        if _left_of_bipartition(u) and alpha[u] + alpha[w] != 0:
-            edge_failures.append((
-                (u, w), "matched_edges_tight",
-                f"lifted edge {label(u, w)} is not tight: {alpha[u] + alpha[w]} != 0",
-            ))
+        if _left_of_bipartition(u):
+            alpha_sum = alpha[u] + alpha[w]
+            # A lifted clone–clone pair lies in no block, and weighs 0.
+            if u.kind is w.kind:
+                for failure in _pair_failures(alpha_sum, 0, level[u], level[w], True):
+                    flag(u, w, *failure)
+            if alpha_sum != 0:
+                message = f"lifted edge {{}} is not tight: {alpha_sum} != 0"
+                flag(u, w, "matched_edges_tight", message)
     edge_failures.sort(key=lambda failure: failure[0])
     for _, check, message in edge_failures:
         fail(check, message)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import types
@@ -294,12 +295,24 @@ def test_implicit_edges_match_the_explicit_rule(
     assert set(seen) == {"matched, not lifted", "not adjacent", "not lr-adjacent"}
 
 
+def _lifted_clone_pairs(g):
+    """The lifted clone–clone pairs, A end first: the edges kept on the lift
+    rather than in the block table."""
+    return {
+        (u, w) for u, w in g.mstar.items()
+        if u.kind is w.kind is CloneKind.CLONE and u.side is Side.A
+    }
+
+
 def test_blocks_cover_every_edge_once(
     short_supply_graph, capacity_switch_graph, high_quota_graph, deficient_graph
 ):
-    # The verifier checks edges only through their blocks, lifted pairs
-    # included, weighs each end by its vote for its side's offer, and reads
-    # a true edge from a block that offers real ranks.
+    # The verifier checks each lifted clone–clone pair on the lift, where it
+    # weighs 0 and is a true edge, and every other edge through its block:
+    # it weighs each end by its vote for its side's offer, and reads a true
+    # edge from a block that offers real ranks.  The blocks yield no lifted
+    # clone–clone pair, and together with those pairs they cover every edge
+    # once.
     generated = []
     for seed in range(3):
         inst = generate_random_instance(
@@ -308,10 +321,13 @@ def test_blocks_cover_every_edge_once(
         generated.append(build_cloned_graph(inst, solve(inst)[0]))
     fixtures = [short_supply_graph, capacity_switch_graph, high_quota_graph, deficient_graph]
     for g in fixtures + generated:
-        weights = {}
+        lifted = _lifted_clone_pairs(g)
+        assert len(lifted) == len(g.leveled.matching.pairs)
+        weights = dict.fromkeys(lifted, 0)
         for left, left_offer, right, right_offer in g.edges.blocks():
             for u, held_u in left.items():
                 for w, held_w in right.items():
+                    assert (u, w) not in lifted
                     assert (u, w) not in weights
                     assert (left_offer < _UNRANKED) == (
                         u.kind is w.kind is CloneKind.CLONE
@@ -321,6 +337,28 @@ def test_blocks_cover_every_edge_once(
                     )
         assert weights == dict(g.edges.items())
         assert all(_canonical(u, w) in weights for u, w in g.mstar.items())
+
+
+@pytest.mark.parametrize("graph_name", ["high_quota_graph", "deficient_graph"])
+def test_lifted_pairs_are_looked_up_on_the_lift(graph_name, request):
+    # Of the clone pairs of a matched edge, only the lifted one is an edge,
+    # and it weighs 0; the others are non-edges, like a lifted pair reversed.
+    g = request.getfixturevalue(graph_name)
+    seen = Counter()
+    for a, b in sorted(g.leveled.matching.pairs):
+        for u, w in itertools.product(g.clones_of[a], g.clones_of[b]):
+            assert (w, u) not in g.edges
+            if g.mstar[u] == w:
+                assert (u, w) in g.edges
+                assert g.edges[(u, w)] == 0
+                seen["lifted"] += 1
+            else:
+                assert (u, w) not in g.edges
+                with pytest.raises(KeyError):
+                    g.edges[(u, w)]
+                seen["not lifted"] += 1
+    assert seen["lifted"] == len(g.leveled.matching.pairs)
+    assert seen["not lifted"] > 0
 
 
 def test_a_vertex_without_capacity_certifies():
@@ -365,6 +403,63 @@ def _wide_instance(seed):
             rng.shuffle(names)
             lines.append(" ".join([f"PREF {prefix}{k + 1}"] + names))
     return parse_instance("\n".join(lines) + "\n")
+
+
+def _tamper_lifted_pair(g, alpha):
+    """The first lifted clone–clone pair (u, w), with u's alpha lowered by 1
+    and u's level raised by 2, in copies of alpha and of g: the pair then
+    has alpha sum -1 against its weight 0 and drops two levels."""
+    u, w = min(_lifted_clone_pairs(g))
+    alpha = dict(alpha)
+    alpha[u] -= 1
+    level = dict(g.level)
+    level[u] += 2
+    return (u, w), dataclasses.replace(g, level=level), DualCertificate(alpha)
+
+
+def test_a_tampered_lifted_pair_fails_on_the_lift(deficient_graph):
+    g = deficient_graph
+    (u, w), g, cert = _tamper_lifted_pair(g, dual_assignment(g).alpha)
+    report = verify_certificate(g, cert)
+    assert report == reference_verify(g, cert)
+    name = f"({g.clone_name(u)}, {g.clone_name(w)})"
+    x, y = g.level[u], g.level[w]
+    assert f"edge_inequalities: {name} has alpha sum -1 < weight 0" in report.failures
+    assert f"no_steep_downward: {name} drops from level {x} to {y}" in report.failures
+    assert f"matched_edges_tight: lifted edge {name} is not tight: -1 != 0" in report.failures
+    # The pair's checks come in the order they run, tightness last.
+    on_pair = [f for f in report.failures if name in f]
+    assert [f.split(":")[0] for f in on_pair] == [
+        "edge_inequalities", "no_steep_downward", "matched_edges_tight"
+    ]
+
+
+# sha256 of the certificate report of _wide_instance(0), and of the
+# failures, one per line, of a fixed tampering of its certificate, both
+# recorded while every lifted pair was still a block of its own.  Unlike
+# short_supply_cert.txt, they pin vertices of high quota.
+WIDE_REPORT_DIGEST = "cda01827db69c4bd2444c982d2e59f0890ea925348c5d6149bd9047314c445c8"
+WIDE_TAMPERED_FAILURES_DIGEST = "2964a96eeb1ed89a8cc52d02b5f06f08297bef27a81f3c2491ca263917bf5a9f"
+
+
+def test_wide_report_and_tampered_failures_match_pinned_digests():
+    inst = _wide_instance(0)
+    g = build_cloned_graph(inst, solve(inst)[0])
+    cert = dual_assignment(g)
+    text = render_certificate_report(g, cert, verify_certificate(g, cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_REPORT_DIGEST
+
+    # Besides the lifted pair, a last-resort goes negative and the last B
+    # clone drops a level, so that clone–clone and clone–last-resort blocks
+    # fail too.
+    _, g, tampered = _tamper_lifted_pair(g, cert.alpha)
+    alpha, level = dict(tampered.alpha), dict(g.level)
+    alpha[next(u for u in g.vertices if u.kind is CloneKind.LAST_RESORT)] -= 1
+    level[g.clones_of[VertexId(Side.B, len(inst.b_names) - 1)][-1]] -= 1
+    g = dataclasses.replace(g, level=level)
+    failures = verify_certificate(g, DualCertificate(alpha)).failures
+    digest = hashlib.sha256("\n".join(failures).encode()).hexdigest()
+    assert digest == WIDE_TAMPERED_FAILURES_DIGEST
 
 
 def test_wide_graph_counts_are_pinned():
@@ -706,7 +801,7 @@ def _apply_moves(g, values, moves):
 )
 # The first two examples each fail one check on some block: a same-level
 # true edge that weighs 2, and a one-level-down edge.  The last two tamper
-# with a lifted clone–clone pair in its 1×1 block: b1.1's partner a4.1
+# with a lifted clone–clone pair, checked on the lift: b1.1's partner a4.1
 # loses a unit of alpha, so the pair fails the edge inequality and
 # tightness together, and b3.1 drops two levels below its partner a1.1.
 @example(

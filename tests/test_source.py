@@ -10,6 +10,8 @@ import pytest
 
 import popcrit
 
+from conftest import run_python
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "popcrit").glob("*.py"))
 
 
@@ -32,3 +34,34 @@ def test_all_lists_exactly_the_public_names_of_the_package():
     }
     assert popcrit.__all__ == sorted(set(popcrit.__all__))
     assert set(popcrit.__all__) == public
+
+
+def _imported_roots(path):
+    """The top-level names of the absolute imports in one source file."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+# The standard-library modules the package imports.  The benchmark's
+# setup_s times `import popcrit` in fresh interpreters, so a module joins
+# this set only once its import cost is known: either it is measured, or
+# another module of the set loads it anyway, as LOADED_BY records.
+STANDARD_IMPORTS = {
+    "__future__", "argparse", "bisect", "collections", "csv", "dataclasses",
+    "enum", "functools", "io", "itertools", "math", "pathlib", "random",
+    "struct", "sys", "types", "typing", "weakref",
+}
+LOADED_BY = {"bisect": "random"}
+
+
+def test_package_imports_only_the_pinned_standard_modules():
+    assert set().union(*map(_imported_roots, SOURCES)) == STANDARD_IMPORTS
+    # -S keeps site's own imports out of the interpreter.
+    for module, carrier in LOADED_BY.items():
+        code = f"import sys, {carrier}; print({module!r} in sys.modules)"
+        assert run_python(code, "-S") == "True"
