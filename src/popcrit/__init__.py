@@ -6,120 +6,86 @@ deficiency that no other such matching defeats in pairwise voting, the
 certificate module proves that claim for a concrete run via linear
 programming duality on a cloned graph, and the oracle module brute-forces
 small instances for cross-checking.
-"""
 
-from .certificate import (
-    CertificateReport,
-    CloneId,
-    CloneKind,
-    ClonedGraph,
-    DualCertificate,
-    build_cloned_graph,
-    clone_matching_weight,
-    dual_assignment,
-    map_matching_to_clones,
-    render_certificate_report,
-    verify_certificate,
-)
-from .matchings import (
-    Correspondence,
-    DeficiencyReport,
-    Matching,
-    MatchingError,
-    blocking_pairs,
-    check_matching,
-    deficiency,
-    delta,
-    max_delta,
-    parse_matching,
-    random_correspondence,
-    serialize_matching,
-    validate_correspondence,
-    vertex_gain,
-    vote,
-)
-from .model import (
-    GenParams,
-    Instance,
-    InstanceFormatError,
-    Quotas,
-    Side,
-    ValidationReport,
-    VertexId,
-    generate_random_instance,
-    parse_instance,
-    serialize_instance,
-    validate_instance,
-)
-from .oracle import (
-    DEFAULT_EDGE_BUDGET,
-    OracleResult,
-    critical_set,
-    enumerate_matchings,
-    oracle_solve,
-)
-from .solver import (
-    InvariantError,
-    LeveledMatching,
-    ProposalEvent,
-    Trace,
-    check_output_properties,
-    read_trace_csv,
-    solve,
-    trace_to_csv,
-)
+``import popcrit`` loads no submodule.  Each public name loads the
+submodule that defines it on first use, so a caller of ``solve`` loads
+``model``, ``matchings`` and ``solver`` only, and ``certificate`` and
+``oracle`` load when first touched.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CertificateReport",
-    "CloneId",
-    "CloneKind",
-    "ClonedGraph",
-    "Correspondence",
-    "DEFAULT_EDGE_BUDGET",
-    "DeficiencyReport",
-    "DualCertificate",
-    "GenParams",
-    "Instance",
-    "InstanceFormatError",
-    "InvariantError",
-    "LeveledMatching",
-    "Matching",
-    "MatchingError",
-    "OracleResult",
-    "ProposalEvent",
-    "Quotas",
-    "Side",
-    "Trace",
-    "ValidationReport",
-    "VertexId",
-    "blocking_pairs",
-    "build_cloned_graph",
-    "check_matching",
-    "check_output_properties",
-    "clone_matching_weight",
-    "critical_set",
-    "deficiency",
-    "delta",
-    "dual_assignment",
-    "enumerate_matchings",
-    "generate_random_instance",
-    "map_matching_to_clones",
-    "max_delta",
-    "oracle_solve",
-    "parse_instance",
-    "parse_matching",
-    "random_correspondence",
-    "read_trace_csv",
-    "render_certificate_report",
-    "serialize_instance",
-    "serialize_matching",
-    "solve",
-    "trace_to_csv",
-    "validate_correspondence",
-    "validate_instance",
-    "verify_certificate",
-    "vertex_gain",
-    "vote",
-]
+# Each public name with the submodule that defines it.
+_HOMES = {
+    "CertificateReport": "certificate",
+    "CloneId": "certificate",
+    "CloneKind": "certificate",
+    "ClonedGraph": "certificate",
+    "DualCertificate": "certificate",
+    "build_cloned_graph": "certificate",
+    "clone_matching_weight": "certificate",
+    "dual_assignment": "certificate",
+    "map_matching_to_clones": "certificate",
+    "render_certificate_report": "certificate",
+    "verify_certificate": "certificate",
+
+    "Correspondence": "matchings",
+    "DeficiencyReport": "matchings",
+    "Matching": "matchings",
+    "MatchingError": "matchings",
+    "blocking_pairs": "matchings",
+    "check_matching": "matchings",
+    "deficiency": "matchings",
+    "delta": "matchings",
+    "max_delta": "matchings",
+    "parse_matching": "matchings",
+    "random_correspondence": "matchings",
+    "serialize_matching": "matchings",
+    "validate_correspondence": "matchings",
+    "vertex_gain": "matchings",
+    "vote": "matchings",
+
+    "GenParams": "model",
+    "Instance": "model",
+    "InstanceFormatError": "model",
+    "Quotas": "model",
+    "Side": "model",
+    "ValidationReport": "model",
+    "VertexId": "model",
+    "generate_random_instance": "model",
+    "parse_instance": "model",
+    "serialize_instance": "model",
+    "validate_instance": "model",
+
+    "DEFAULT_EDGE_BUDGET": "oracle",
+    "OracleResult": "oracle",
+    "critical_set": "oracle",
+    "enumerate_matchings": "oracle",
+    "oracle_solve": "oracle",
+
+    "InvariantError": "solver",
+    "LeveledMatching": "solver",
+    "ProposalEvent": "solver",
+    "Trace": "solver",
+    "check_output_properties": "solver",
+    "read_trace_csv": "solver",
+    "solve": "solver",
+    "trace_to_csv": "solver",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    """Import the submodule defining a public name on its first use, and
+    bind the name here so later lookups skip this function."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # What `from .<home> import <name>` runs.
+    home = __import__(_HOMES[name], globals(), fromlist=[name], level=1)
+    value = globals()[name] = getattr(home, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

@@ -10,14 +10,13 @@ in one pass the per-side and total minimum deficiency with the masks of
 the matchings attaining the total, and the subset of those matchings
 popular within it.  The popularity tournament runs on the masks as well:
 a vertex's partners in a matching are the far ends of the edges its own
-mask shares with the matching's, its vote for one partner set over
-another is cached by the two masks, and only a vertex whose partners
-differ is asked.  A ``Matching`` is built only for each popular matching
-returned.  The
-oracle is deliberately independent of the solver so the two can be
-played against each other in tests; it shares only the per-vertex vote
-kernel with ``matchings.max_delta`` and the per-vertex
-``matchings.shortfall``.
+mask shares with the matching's, only a vertex whose partners differ is
+asked, and its vote is cached by the masks of the partners gained and
+lost, the two differences its vote reads.  A ``Matching`` is built only
+for each popular matching returned.  The oracle is deliberately
+independent of the solver so the two can be played against each other in
+tests; it shares only the per-vertex vote kernel with
+``matchings.max_delta`` and the per-vertex ``matchings.shortfall``.
 """
 
 from __future__ import annotations
@@ -184,8 +183,8 @@ def oracle_solve(
     edges = sorted(inst.edges)
     # Each vertex with the mask of its edges, its partner along each of them
     # with the edge's bit (e[e[0] == v] is the end of e other than v), and
-    # its vote totals for one partner set over another, cached by the two
-    # sets' masks.
+    # its vote totals for the partners one matching gains over another,
+    # cached by the masks of the partners gained and lost.
     incident = []
     for v in inst.all_vertices():
         ends = [(1 << i, e[e[0] == v]) for i, e in enumerate(edges) if v in e]
@@ -195,8 +194,10 @@ def oracle_solve(
         # Only a vertex whose partners differ in the two can cast a vote.
         differ, total = challenger ^ incumbent, 0
         for v, own, ends, votes in incident:
-            if own & differ:
-                key = (challenger & own, incumbent & own)
+            moved = own & differ
+            if moved:
+                # vertex_gain reads only the two partner-set differences.
+                key = (challenger & moved, incumbent & moved)
                 got = votes.get(key)
                 if got is None:
                     sets = (frozenset(u for bit, u in ends if bit & m) for m in key)
