@@ -50,7 +50,6 @@ _HOMES = {
     "InstanceFormatError": "model",
     "Quotas": "model",
     "Side": "model",
-    "ValidationReport": "model",
     "VertexId": "model",
     "generate_random_instance": "model",
     "parse_instance": "model",

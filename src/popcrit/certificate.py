@@ -402,6 +402,13 @@ class CertificateReport:
         return tuple(name for name, passed in self.checks if not passed)
 
 
+# The checks of ``verify_certificate``, in the order its report lists them.
+_CHECKS = (
+    "edge_inequalities", "last_resorts_nonnegative", "zero_sum", "no_steep_downward",
+    "matched_edges_tight", "weights_in_range", "level_weight_bounds",
+)
+
+
 def _pair_failures(
     alpha_sum: int, wt: int, x: int, y: int, true_edge: bool
 ) -> Iterator[tuple[str, str]]:
@@ -458,21 +465,6 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     check of every pair would.
     """
     alpha, level = cert.alpha, g.level
-    failures: list[str] = []
-    results: dict[str, bool] = {
-        "edge_inequalities": True,
-        "last_resorts_nonnegative": True,
-        "zero_sum": True,
-        "no_steep_downward": True,
-        "matched_edges_tight": True,
-        "weights_in_range": True,
-        "level_weight_bounds": True,
-    }
-
-    def fail(check: str, message: str) -> None:
-        results[check] = False
-        failures.append(f"{check}: {message}")
-
     # Failures on edges are reported in edge order.  Only they are sorted,
     # and stably, so each edge keeps its checks in the order they ran:
     # tightness, checked last on each lifted pair, comes last.
@@ -534,22 +526,23 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
                 message = f"lifted edge {{}} is not tight: {alpha_sum} != 0"
                 flag(u, w, "matched_edges_tight", message)
     edge_failures.sort(key=lambda failure: failure[0])
-    for _, check, message in edge_failures:
-        fail(check, message)
+    # Each failure once, as (check, message), in the order it is reported.
+    failures = [(check, message) for _, check, message in edge_failures]
 
     for u in g.vertices:
         if u.kind is _LAST_RESORT and alpha[u] < 0:
-            fail(
-                "last_resorts_nonnegative",
-                f"{g.clone_name(u)} carries {alpha[u]}",
+            failures.append(
+                ("last_resorts_nonnegative", f"{g.clone_name(u)} carries {alpha[u]}")
             )
 
     total = sum(alpha.values())
     if total != 0:
-        fail("zero_sum", f"alpha values sum to {total}")
+        failures.append(("zero_sum", f"alpha values sum to {total}"))
 
+    failed = {check for check, _ in failures}
     return CertificateReport(
-        checks=tuple(results.items()), failures=tuple(failures)
+        checks=tuple((check, check not in failed) for check in _CHECKS),
+        failures=tuple(f"{check}: {message}" for check, message in failures),
     )
 
 

@@ -6,16 +6,18 @@ preference order over a subset of the opposite side.  Preferences must be
 mutual: b appears in a's list exactly when a appears in b's list, and the
 edge set of the instance is exactly the set of mutually acceptable pairs.
 
-Instances are plain immutable data.  ``validate_instance`` reports every
-violated invariant instead of stopping at the first, so programmatically
-built instances can be checked wholesale; ``parse_instance`` refuses to
-return an invalid instance.
+Instances are plain immutable data.  ``validate_instance`` returns the
+list of every violated invariant instead of stopping at the first, so
+programmatically built instances can be checked wholesale.  It gives no
+warnings: a lower quota above a vertex's degree leaves the vertex deficient
+in every matching, but the instance is well formed, and nothing is
+reported.  ``parse_instance`` refuses to return an invalid instance.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -138,66 +140,61 @@ class Instance:
         return sum(q.lower for q in quotas)
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+def validate_instance(inst: Instance) -> list[str]:
+    """Check every structural invariant and return the violations, all at
+    once; an empty list means the instance is well formed.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_instance(inst: Instance) -> ValidationReport:
-    """Check every structural invariant and report all violations at once.
-
-    Violations cover malformed quotas (lower > upper or negative), duplicate
-    names, preference entries that are out of range, same-side, or repeated,
-    and non-mutual acceptability.  A lower quota exceeding the vertex degree
-    is reported as a warning only: such a vertex is necessarily deficient in
-    every matching but the instance is still well formed.
+    Violations cover names, quotas and preference lists of unequal counts
+    on one side, malformed quotas (lower > upper or negative), duplicate
+    names, preference entries that are out of range, same-side, or
+    repeated, and non-mutual acceptability.  Unequal counts are reported
+    alone, one violation per side, since no vertex can be read then.
     """
-    report = ValidationReport()
+    violations: list[str] = []
+    for side, names, quotas, prefs in (
+        (Side.A, inst.a_names, inst.a_quotas, inst.a_prefs),
+        (Side.B, inst.b_names, inst.b_quotas, inst.b_prefs),
+    ):
+        if not len(names) == len(quotas) == len(prefs):
+            violations.append(
+                f"side {side.value} has {len(names)} names, {len(quotas)} "
+                f"quotas and {len(prefs)} preference lists"
+            )
+    if violations:
+        return violations
     n_a, n_b, ranks = len(inst.a_names), len(inst.b_names), inst._ranks
     seen: dict[str, VertexId] = {}
     for v in inst.all_vertices():
         name = inst.name(v)
         if name in seen:
-            report.violations.append(f"duplicate vertex name {name}")
+            violations.append(f"duplicate vertex name {name}")
         else:
             seen[name] = v
         q = inst.quotas(v)
         if q.lower < 0 or q.upper < 0:
-            report.violations.append(f"negative quota on {name}")
+            violations.append(f"negative quota on {name}")
         if q.lower > q.upper:
-            report.violations.append(
+            violations.append(
                 f"lower quota {q.lower} exceeds upper quota {q.upper} on {name}"
             )
     for v in inst.all_vertices():
         name = inst.name(v)
         prefs = inst.pref(v)
         if len(set(prefs)) != len(prefs):
-            report.violations.append(f"duplicate preference entry on {name}")
+            violations.append(f"duplicate preference entry on {name}")
         for u in prefs:
             # The range check runs first: the messages below name u.
             limit = n_a if u.side is _SIDE_A else n_b
             if not 0 <= u.index < limit:
-                report.violations.append(f"preference out of range on {name}")
+                violations.append(f"preference out of range on {name}")
             elif u.side == v.side:
-                report.violations.append(
-                    f"same-side preference {inst.name(u)} on {name}"
-                )
+                violations.append(f"same-side preference {inst.name(u)} on {name}")
             elif v not in ranks[u]:
-                report.violations.append(
+                violations.append(
                     f"non-mutual preference: {name} lists {inst.name(u)} "
                     f"but not vice versa"
                 )
-        if inst.lower(v) > inst.degree(v):
-            report.warnings.append(
-                f"lower quota {inst.lower(v)} on {name} exceeds its degree "
-                f"{inst.degree(v)}; the vertex is deficient in every matching"
-            )
-    return report
+    return violations
 
 
 def parse_instance(text: str) -> Instance:
@@ -285,9 +282,9 @@ def parse_instance(text: str) -> Instance:
         a_prefs=tuple(tuple(ids[m] for m in pref_names[n]) for n in a_names),
         b_prefs=tuple(tuple(ids[m] for m in pref_names[n]) for n in b_names),
     )
-    report = validate_instance(inst)
-    if report.violations:
-        raise InstanceFormatError("; ".join(report.violations))
+    violations = validate_instance(inst)
+    if violations:
+        raise InstanceFormatError("; ".join(violations))
     return inst
 
 

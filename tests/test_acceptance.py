@@ -6,6 +6,10 @@ and side-minima sweeps over a deterministic family of 500 seeded random
 instances small enough for exhaustive enumeration, and last two instances
 far beyond the reach of enumeration: a certificate check with three rival
 audits, and a dual-free optimality check of the lift with a permuted copy.
+Two references need no oracle: a min-cost flow gives the minimum
+deficiency, checked against the oracle across the suite and against the
+solver at n = 400, and each suite instance is solved again with its sides
+swapped.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from popcrit import (
 
 from conftest import DATA
 from reference_cycle_check import has_positive_cycle
+from reference_min_deficiency import min_deficiency
 from reference_report import reference_report
 
 SUITE_SIZE = 500
@@ -161,6 +166,7 @@ def test_5_solver_agrees_with_the_oracle_across_the_seeded_suite(solved):
         d = deficiency(inst, m)
         result = oracle_solve(inst)
         assert d.total == result.min_deficiency
+        assert min_deficiency(inst) == result.min_deficiency
         assert (d.total_a, d.total_b) == (result.min_def_a, result.min_def_b)
         _, critical = critical_set(inst)
         assert all(max_delta(inst, m, n) <= 0 for n in critical)
@@ -250,6 +256,7 @@ def test_10_lift_is_heaviest_at_scale_and_declaration_order_is_free():
     report = verify_certificate(g, dual_assignment(g))
     assert report.ok, report.failures
     assert not has_positive_cycle(g)
+    assert deficiency(inst, leveled.matching).total == min_deficiency(inst)
     assert check_output_properties(inst, leveled) == []
     s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
     assert trace.proposal_count <= (s + t + 2) * len(inst.edges)
@@ -268,6 +275,36 @@ def test_10_lift_is_heaviest_at_scale_and_declaration_order_is_free():
     other, other_trace = solve(permuted)
     assert _named(permuted, other.matching) == _named(inst, leveled.matching)
     assert other_trace.proposal_count == trace.proposal_count
+
+
+def test_11_side_swapped_copies_solve_alike(solved):
+    # The problem is symmetric in A and B, but the algorithm is not, so the
+    # answer for the side-swapped copy must be as good from either side.
+    for inst, leveled, _ in solved:
+        m = leveled.matching
+        swapped = _swapped(inst)
+        n = solve(swapped)[0].matching
+        d, d_swapped = deficiency(inst, m), deficiency(swapped, n)
+        assert (d_swapped.total_a, d_swapped.total_b) == (d.total_b, d.total_a)
+        assert n.size == m.size
+        back = _swapped_back(inst, swapped, n)
+        assert max_delta(inst, m, back) <= 0
+        assert max_delta(inst, back, m) <= 0
+
+
+def _swapped(inst):
+    """inst with its sides A and B exchanged, each vertex keeping its name."""
+    swap = {"A": "B", "B": "A"}
+    lines = serialize_instance(inst).splitlines(keepends=True)
+    return parse_instance(
+        "".join(swap.get(line[0], line[0]) + line[1:] for line in lines)
+    )
+
+
+def _swapped_back(inst, swapped, n):
+    """A matching n of _swapped(inst) as the same pairs of inst."""
+    pairs = (line.split() for line in serialize_matching(swapped, n).splitlines())
+    return parse_matching(inst, "".join(f"{a} {b}\n" for b, a in pairs))
 
 
 def _named(inst, m):

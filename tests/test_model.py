@@ -120,7 +120,7 @@ def test_validate_reports_an_out_of_range_same_side_preference(short_supply):
     a_prefs = list(short_supply.a_prefs)
     a_prefs[0] += (VertexId(Side.A, 5),)
     inst = dataclasses.replace(short_supply, a_prefs=tuple(a_prefs))
-    assert validate_instance(inst).violations == ["preference out of range on a1"]
+    assert validate_instance(inst) == ["preference out of range on a1"]
 
 
 def test_validate_reports_every_fault_parse_instance_refuses(short_supply):
@@ -135,7 +135,7 @@ def test_validate_reports_every_fault_parse_instance_refuses(short_supply):
         b_quotas=(Quotas(2, 1), Quotas(1, 2)),
         b_prefs=tuple(b_prefs),
     )
-    assert validate_instance(inst).violations == [
+    assert validate_instance(inst) == [
         "duplicate vertex name a1",
         "negative quota on a3",
         "lower quota 2 exceeds upper quota 1 on b1",
@@ -150,23 +150,46 @@ def test_comments_and_blank_lines_are_ignored():
     assert len(inst.edges) == 1
 
 
-def test_validate_warns_on_lower_quota_above_degree():
-    inst = parse_instance("A a1 1 2\nB b1 0 1\nPREF a1 b1\nPREF b1 a1")
-    report = validate_instance(inst)
-    assert report.ok
-    assert not report.warnings
-    inst2 = parse_instance("A a1 2 2\nB b1 0 1\nPREF a1 b1\nPREF b1 a1")
-    report2 = validate_instance(inst2)
-    assert report2.ok
-    assert any("exceeds its degree" in w for w in report2.warnings)
+@pytest.mark.parametrize(
+    "field, cut, message",
+    [
+        (
+            "a_prefs",
+            lambda t: t[:-1],
+            "side A has 3 names, 3 quotas and 2 preference lists",
+        ),
+        (
+            "a_quotas",
+            lambda t: t[:-1],
+            "side A has 3 names, 2 quotas and 3 preference lists",
+        ),
+        (
+            "b_names",
+            lambda t: t + ("bx",),
+            "side B has 3 names, 2 quotas and 2 preference lists",
+        ),
+    ],
+    ids=["a_prefs", "a_quotas", "b_names"],
+)
+def test_validate_reports_a_side_of_unequal_counts(short_supply, field, cut, message):
+    # Only an Instance built in code can hold such a side.  None of its
+    # vertices can be read, so its counts are the one violation reported.
+    changed = {field: cut(getattr(short_supply, field))}
+    assert validate_instance(dataclasses.replace(short_supply, **changed)) == [message]
+
+
+def test_validate_accepts_lower_quota_above_degree():
+    # Such a vertex is deficient in every matching, but well formed.
+    for lower in (1, 2):
+        inst = parse_instance(f"A a1 {lower} 2\nB b1 0 1\nPREF a1 b1\nPREF b1 a1")
+        assert validate_instance(inst) == []
 
 
 def test_generator_is_deterministic_and_well_formed():
     params = GenParams(n_a=4, n_b=3, max_upper=3, seed=11)
     inst = generate_random_instance(params)
     assert inst == generate_random_instance(params)
-    report = validate_instance(inst)
-    assert report.ok
+    assert validate_instance(inst) == []
     for v in inst.all_vertices():
         q = inst.quotas(v)
         assert 0 <= q.lower <= q.upper <= 3
@@ -212,4 +235,4 @@ def test_parse_instance_fails_only_with_a_format_error(text):
 def test_fixture_files_all_parse_and_validate():
     for path in sorted(DATA.glob("*.inst")):
         inst = parse_instance(path.read_text())
-        assert validate_instance(inst).ok, path.name
+        assert validate_instance(inst) == [], path.name

@@ -66,7 +66,7 @@ def test_import_loads_each_submodule_on_first_use():
     assert run_python(code, "-S").splitlines() == [
         "['popcrit']",
         "['popcrit.matchings', 'popcrit.model', 'popcrit.solver']",
-        "True 50",
+        "True 49",
         "module 'popcrit' has no attribute 'nope'",
     ]
 
