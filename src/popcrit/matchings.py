@@ -38,7 +38,7 @@ from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from .model import Edge, Instance, Side, VertexId
+from .model import Edge, Instance, Side, VertexId, _records
 
 CorrPair = tuple[Optional[VertexId], Optional[VertexId]]
 
@@ -388,29 +388,24 @@ def random_correspondence(
 def parse_matching(inst: Instance, text: str) -> Matching:
     """Parse lines of ``<a-name> <b-name>`` into a matching.
 
-    ``#`` starts a comment.  Raises MatchingError for unknown names, pairs
-    in the wrong side order, duplicates, non-edges, or upper-quota
-    violations.
+    ``#`` starts a comment.  The parser reads only syntax and names: it
+    raises MatchingError with the number of the first line that does not
+    hold two names, names an unknown vertex or repeats a pair.  The pairs
+    are then held to ``check_matching``'s rules, whose message names no
+    line: a pair in the wrong side order, a non-edge, or an upper quota
+    exceeded.
     """
     pairs: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _records(text):
         if len(tokens) != 2:
             raise MatchingError(f"line {lineno}: expected '<a-name> <b-name>'")
         try:
-            a, b = inst.name_to_id[tokens[0]], inst.name_to_id[tokens[1]]
+            pair = inst.name_to_id[tokens[0]], inst.name_to_id[tokens[1]]
         except KeyError as missing:
             raise MatchingError(f"line {lineno}: unknown vertex {missing}") from None
-        if a.side is not Side.A or b.side is not Side.B:
-            raise MatchingError(
-                f"line {lineno}: expected an A-vertex then a B-vertex"
-            )
-        if (a, b) in pairs:
+        if pair in pairs:
             raise MatchingError(f"line {lineno}: duplicate pair")
-        pairs.add((a, b))
+        pairs.add(pair)
     m = Matching(frozenset(pairs))
     check_matching(inst, m)
     return m

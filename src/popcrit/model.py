@@ -6,12 +6,16 @@ preference order over a subset of the opposite side.  Preferences must be
 mutual: b appears in a's list exactly when a appears in b's list, and the
 edge set of the instance is exactly the set of mutually acceptable pairs.
 
-Instances are plain immutable data.  ``validate_instance`` returns the
-list of every violated invariant instead of stopping at the first, so
-programmatically built instances can be checked wholesale.  It gives no
-warnings: a lower quota above a vertex's degree leaves the vertex deficient
-in every matching, but the instance is well formed, and nothing is
-reported.  ``parse_instance`` refuses to return an invalid instance.
+Instances are plain immutable data.  ``validate_instance`` is the one
+statement of these rules: it returns the list of every violation, each
+naming its vertex, instead of stopping at the first, so programmatically
+built instances can be checked wholesale.  It gives no warnings: a lower
+quota above a vertex's degree leaves the vertex deficient in every
+matching, but the instance is well formed, and nothing is reported.
+``parse_instance`` reads only syntax and names, and stops at the first
+fault there with its line number; it then refuses, with every violation at
+once, a text that breaks a rule.  ``_records`` is the line reader that it
+and ``matchings.parse_matching`` share.
 """
 
 from __future__ import annotations
@@ -141,14 +145,19 @@ class Instance:
 
 
 def validate_instance(inst: Instance) -> list[str]:
-    """Check every structural invariant and return the violations, all at
-    once; an empty list means the instance is well formed.
+    """Check every rule an instance must keep and return the violations,
+    all at once; an empty list means the instance is well formed.
 
-    Violations cover names, quotas and preference lists of unequal counts
-    on one side, malformed quotas (lower > upper or negative), duplicate
-    names, preference entries that are out of range, same-side, or
-    repeated, and non-mutual acceptability.  Unequal counts are reported
-    alone, one violation per side, since no vertex can be read then.
+    This is the one statement of the instance rules, and ``parse_instance``
+    ends with it.  Names, quotas and preference lists of unequal counts on
+    one side are reported alone, one violation per side, since no vertex
+    can be read then.  Otherwise the vertices are walked once, A side
+    first and each side in declaration order, and each vertex's violations
+    come in this order: a name that an instance file cannot hold (it is
+    not one token, or holds ``#``), a duplicate name, a negative quota,
+    lower > upper, a repeated preference entry, and for each entry in turn
+    one that is out of range, on the same side, or not mutual.  The
+    messages name the vertex, never a line.
     """
     violations: list[str] = []
     for side, names, quotas, prefs in (
@@ -163,24 +172,24 @@ def validate_instance(inst: Instance) -> list[str]:
     if violations:
         return violations
     n_a, n_b, ranks = len(inst.a_names), len(inst.b_names), inst._ranks
-    seen: dict[str, VertexId] = {}
+    seen: set[str] = set()
     for v in inst.all_vertices():
-        name = inst.name(v)
+        name, q, prefs = inst.name(v), inst.quotas(v), inst.pref(v)
+        if name.split() != [name] or "#" in name:
+            violations.append(
+                f"vertex name {name!r} cannot be written in an instance file"
+            )
         if name in seen:
             violations.append(f"duplicate vertex name {name}")
-        else:
-            seen[name] = v
-        q = inst.quotas(v)
+        seen.add(name)
         if q.lower < 0 or q.upper < 0:
             violations.append(f"negative quota on {name}")
         if q.lower > q.upper:
             violations.append(
                 f"lower quota {q.lower} exceeds upper quota {q.upper} on {name}"
             )
-    for v in inst.all_vertices():
-        name = inst.name(v)
-        prefs = inst.pref(v)
-        if len(set(prefs)) != len(prefs):
+        # The rank table keeps one key per distinct entry.
+        if len(ranks[v]) != len(prefs):
             violations.append(f"duplicate preference entry on {name}")
         for u in prefs:
             # The range check runs first: the messages below name u.
@@ -197,6 +206,15 @@ def validate_instance(inst: Instance) -> list[str]:
     return violations
 
 
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each line of text that still holds tokens once ``#`` and what
+    follows it are cut off, as its number (from 1) and its tokens."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the line-based instance format.
 
@@ -208,9 +226,14 @@ def parse_instance(text: str) -> Instance:
 
     All declarations must precede all PREF lines, and every declared vertex
     must have exactly one PREF line (an empty neighbor list is allowed).
-    Raises InstanceFormatError with a line number for syntax problems and
-    with a description for semantic ones (unknown or duplicate names,
-    non-mutual preferences, lower > upper).
+    The parser reads only syntax and names: it raises InstanceFormatError
+    with the number of the first line that breaks the grammar, has a quota
+    that is no integer, declares a vertex after a PREF line, names an
+    unknown vertex, or repeats a declaration or a PREF line; then, with no
+    line number, for vertices that have no PREF line.  The text it reads is
+    then held to ``validate_instance``'s rules (quotas, repeated entries,
+    side and mutuality), and every violation is reported at once, joined by
+    ``"; "``.
     """
     a_names: list[str] = []
     b_names: list[str] = []
@@ -221,11 +244,7 @@ def parse_instance(text: str) -> Instance:
     def fail(lineno: int, msg: str) -> None:
         raise InstanceFormatError(f"line {lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _records(text):
         kind = tokens[0]
         if kind in ("A", "B"):
             if decl_done:
@@ -236,31 +255,21 @@ def parse_instance(text: str) -> Instance:
             if name in quotas:
                 fail(lineno, f"duplicate vertex {name}")
             try:
-                lower, upper = int(tokens[2]), int(tokens[3])
+                quotas[name] = Quotas(int(tokens[2]), int(tokens[3]))
             except ValueError:
                 fail(lineno, "quotas must be integers")
-            if lower < 0:
-                fail(lineno, f"negative lower quota on {name}")
-            if lower > upper:
-                fail(lineno, f"lower quota {lower} exceeds upper quota {upper} on {name}")
-            quotas[name] = Quotas(lower, upper)
             (a_names if kind == "A" else b_names).append(name)
         elif kind == "PREF":
             decl_done = True
             if len(tokens) < 2:
                 fail(lineno, "expected 'PREF <name> [<neighbor> ...]'")
             name = tokens[1]
-            if name not in quotas:
-                fail(lineno, f"unknown vertex {name}")
             if name in pref_names:
                 fail(lineno, f"duplicate PREF line for {name}")
-            entries = tokens[2:]
-            if len(set(entries)) != len(entries):
-                fail(lineno, f"duplicate preference entry on {name}")
-            for other in entries:
-                if other not in quotas:
-                    fail(lineno, f"unknown vertex {other}")
-            pref_names[name] = entries
+            for named in tokens[1:]:
+                if named not in quotas:
+                    fail(lineno, f"unknown vertex {named}")
+            pref_names[name] = tokens[2:]
         else:
             fail(lineno, f"unknown record type {kind!r}")
 

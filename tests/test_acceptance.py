@@ -3,13 +3,13 @@
 One test per shipped guarantee: exact values on the three reference
 fixtures, then certificate, oracle-agreement, lift-weight, proposal-budget
 and side-minima sweeps over a deterministic family of 500 seeded random
-instances small enough for exhaustive enumeration, and last two instances
-far beyond the reach of enumeration: a certificate check with three rival
-audits, and a dual-free optimality check of the lift with a permuted copy.
-Two references need no oracle: a min-cost flow gives the minimum
-deficiency, checked against the oracle across the suite and against the
-solver at n = 400, and each suite instance is solved again with its sides
-swapped.
+instances small enough for exhaustive enumeration, and last instances far
+beyond the reach of enumeration: a certificate check with three rival
+audits, and a dual-free optimality check of the lift with a permuted copy
+and on a deficient instance.  Two references need no oracle: a min-cost
+flow gives the minimum deficiency, checked against the oracle across the
+suite and against the solver at n = 400, and each suite instance is solved
+again with its sides swapped.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import time
 import pytest
 
 from popcrit import (
+    CloneKind,
     Correspondence,
     GenParams,
     Side,
@@ -242,14 +243,11 @@ def test_9_certificate_holds_at_scale():
         assert clone_matching_weight(g, inst, nstar) == delta(inst, n, m, corr)
 
 
-def test_10_lift_is_heaviest_at_scale_and_declaration_order_is_free():
-    # At n = 400 the closed-form dual is checked by verify_certificate and,
-    # independently of it, the lift's residual digraph has no positive
-    # cycle.  Declaring the vertices in another order changes every id and
-    # the FIFO seeding order, but not the outcome.
-    params = GenParams(
-        n_a=400, n_b=400, edge_density=10 / 400, max_upper=3, lq_fraction=0.5, seed=1
-    )
+def _certify_at_scale(params):
+    """Solve the instance of params and hold the answer to the certificate,
+    to the cycle check, to the flow's minimum deficiency, to the output
+    properties and to the proposal budget; return the instance, the
+    solver's leveled matching and trace, and the cloned graph."""
     inst = generate_random_instance(params)
     leveled, trace = solve(inst)
     g = build_cloned_graph(inst, leveled)
@@ -260,6 +258,19 @@ def test_10_lift_is_heaviest_at_scale_and_declaration_order_is_free():
     assert check_output_properties(inst, leveled) == []
     s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
     assert trace.proposal_count <= (s + t + 2) * len(inst.edges)
+    return inst, leveled, trace, g
+
+
+def test_10_lift_is_heaviest_at_scale_and_declaration_order_is_free():
+    # At n = 400 the closed-form dual is checked by verify_certificate and,
+    # independently of it, the lift's residual digraph has no positive
+    # cycle.  Declaring the vertices in another order changes every id and
+    # the FIFO seeding order, but not the outcome.
+    inst, leveled, trace, _ = _certify_at_scale(
+        GenParams(
+            n_a=400, n_b=400, edge_density=10 / 400, max_upper=3, lq_fraction=0.5, seed=1
+        )
+    )
 
     lines = serialize_instance(inst).splitlines()
     rng = random.Random(10)
@@ -275,6 +286,22 @@ def test_10_lift_is_heaviest_at_scale_and_declaration_order_is_free():
     other, other_trace = solve(permuted)
     assert _named(permuted, other.matching) == _named(inst, leveled.matching)
     assert other_trace.proposal_count == trace.proposal_count
+
+    # The instance above has minimum deficiency 0.  This sparse one, every
+    # vertex with a lower quota, must stay short on both sides, so its
+    # certificate has dummies on both and parks clones on last-resorts.
+    short, short_leveled, _, g = _certify_at_scale(
+        GenParams(
+            n_a=400, n_b=400, edge_density=3 / 400, max_upper=3, lq_fraction=1.0, seed=1
+        )
+    )
+    d = deficiency(short, short_leveled.matching)
+    assert (d.total_a, d.total_b) == (83, 79)
+    assert g.dummies[Side.A] and g.dummies[Side.B]
+    assert any(
+        u.kind is CloneKind.CLONE and w.kind is CloneKind.LAST_RESORT
+        for u, w in g.mstar.items()
+    )
 
 
 def test_11_side_swapped_copies_solve_alike(solved):

@@ -80,7 +80,7 @@ def test_partners_and_size(short_supply):
     "text, message",
     [
         ("a1 b9", "unknown vertex"),
-        ("b1 a1", "A-vertex then a B-vertex"),
+        ("b1 a1", "A-vertex, B-vertex"),
         ("a1 b1\na1 b1", "duplicate pair"),
         ("a3 b1", "not an edge"),
         ("a1 b1\na2 b1", "above its upper quota"),

@@ -82,7 +82,7 @@ def test_serialize_parse_round_trip(short_supply):
         ("A a1 1", "expected 'A <name> <lower> <upper>'"),
         ("A a1 1 2\nA a1 0 1\nPREF a1", "duplicate vertex a1"),
         ("A a1 x 2\nPREF a1", "quotas must be integers"),
-        ("A a1 -1 2\nPREF a1", "negative lower quota"),
+        ("A a1 -1 2\nPREF a1", "negative quota on a1"),
         ("A a1 3 2\nPREF a1", "lower quota 3 exceeds upper quota 2"),
         ("A a1 0 1\nPREF a1\nB b1 0 1\nPREF b1", "declared after a PREF"),
         ("A a1 0 1\nPREF a1 b9", "unknown vertex b9"),
@@ -95,6 +95,19 @@ def test_serialize_parse_round_trip(short_supply):
 def test_parse_errors(text, message):
     with pytest.raises(InstanceFormatError, match=message):
         parse_instance(text)
+
+
+def test_parse_reports_every_rule_fault_at_once():
+    text = (
+        "A a1 -1 2\nA a2 3 2\nB b1 0 1\n"
+        "PREF a1 b1 b1\nPREF a2\nPREF b1 a1\n"
+    )
+    with pytest.raises(InstanceFormatError) as caught:
+        parse_instance(text)
+    assert str(caught.value) == (
+        "negative quota on a1; duplicate preference entry on a1; "
+        "lower quota 3 exceeds upper quota 2 on a2"
+    )
 
 
 def test_parse_requires_pref_for_every_vertex():
@@ -140,6 +153,17 @@ def test_validate_reports_every_fault_parse_instance_refuses(short_supply):
         "negative quota on a3",
         "lower quota 2 exceeds upper quota 1 on b1",
         "duplicate preference entry on b2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad", ["a 1", "a#1", "", "a\x0b1"], ids=["space", "hash", "empty", "vertical-tab"]
+)
+def test_validate_refuses_a_name_an_instance_file_cannot_hold(short_supply, bad):
+    # serialize_instance would write a file that parse_instance refuses.
+    inst = dataclasses.replace(short_supply, a_names=(bad, "a2", "a3"))
+    assert validate_instance(inst) == [
+        f"vertex name {bad!r} cannot be written in an instance file"
     ]
 
 
