@@ -92,10 +92,9 @@ def _canonical(u: CloneId, w: CloneId) -> CloneEdge:
 
 def _block_key(u: CloneId, w: CloneId) -> tuple:
     """The table key of the block that would hold the edge (u, w): the
-    kind, side and owner of each end.  A side has one clone–dummy block, so
-    next to a dummy no owner is kept."""
-    if u.kind is _DUMMY or w.kind is _DUMMY:
-        return u.kind, u.side, w.kind, w.side
+    kind, side and owner of each end.  Every block joins the clones or
+    last-resorts of one owner, or a side's dummies, to those of another, so
+    the key names one block."""
     return u.kind, u.side, u.owner, w.kind, w.side, w.owner
 
 
@@ -115,12 +114,12 @@ class CloneEdges(Mapping[CloneEdge, int]):
     other pair of a's clones with b's clones is a non-edge.  Every other
     edge lies in one block of a table built with the graph, in this order:
 
-    - one per vertex, A side first: its last-resort-adjacent clones × its
-      last-resorts;
+    - one per vertex, A side first, in its pass: its last-resort block
+      (its last-resort-adjacent clones × its last-resorts), then its
+      clones × its side's dummies;
     - one per unmatched real edge (a, b), in a's declaration order and
       then a's preference order: a's clones × b's clones, a offering b's
-      rank and b offering a's;
-    - one per side, A first: its clones × its dummies.
+      rank and b offering a's.
 
     The artificial blocks offer _UNRANKED on both sides, and include their
     lifted pairs.  A pair weighs the sum of its two ends' votes for what
@@ -253,7 +252,9 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     Then one pass over the
     vertices, A side first, treats each vertex in turn: its remaining
     clones are parked (``_park``) on the next dummies of its side and on
-    its last-resorts, and its last-resort block is joined.  Clones of a
+    its last-resorts, and its last-resort block and then its block of
+    clones × its side's dummies are joined.  The unmatched real edges
+    follow, one block each.  Clones of a
     vertex matched at or below its lower quota are connected to its
     last-resorts only when they are themselves matched to one; vertices
     holding more than their lower quota connect every clone to every one
@@ -282,8 +283,10 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     for side, x in ((Side.A, s + t + 1), (Side.B, 0)):
         level.update(dict.fromkeys(dummies[side], x))
     # Each vertex's clones, each with the rank of its lifted real partner
-    # or _UNRANKED.  The table's blocks share these dicts.
+    # or _UNRANKED, and each side's dummies, which hold no rank.  The
+    # table's blocks share these dicts.
     holding = {v: dict.fromkeys(cs, _UNRANKED) for v, cs in clones_of.items()}
+    dummy_ranks = {side: dict.fromkeys(pool, _UNRANKED) for side, pool in dummies.items()}
     free_clones = {v: iter(cs) for v, cs in clones_of.items()}
     table: dict[tuple, _Entry] = {}
 
@@ -312,7 +315,6 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
 
     resort_level = {Side.A: t + 1, Side.B: t}
     free_dummies = {side: iter(pool) for side, pool in dummies.items()}
-    side_clones: dict[Side, dict[CloneId, float]] = {Side.A: {}, Side.B: {}}
     resorts_of: dict[VertexId, tuple[CloneId, ...]] = {}
     for v in inst.all_vertices():
         lower, upper = inst.quotas(v)
@@ -328,21 +330,16 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         adjacent = holding[v] if len(m.partners(v)) > lower else spare
         # Dummies and last-resorts hold and offer no rank.
         join(adjacent, _UNRANKED, dict.fromkeys(resorts, _UNRANKED), _UNRANKED)
-        side_clones[v.side].update(holding[v])
+        join(holding[v], _UNRANKED, dummy_ranks[v.side], _UNRANKED)
     if any(next(pool, None) is not None for pool in free_dummies.values()):
         raise InvariantError("every dummy must be consumed")
 
     # Real edges in a's preference order, so that a's rank of b is the
-    # position and nothing needs sorting.  a's clones are the left side.
+    # position and nothing needs sorting.
     for a in inst.vertices(Side.A):
         for rank, b in enumerate(inst.pref(a)):
-            # A vertex of upper quota 0 has no clones, and so no blocks.
-            if clones_of[a] and clones_of[b] and (a, b) not in m.pairs:
-                table[_block_key(clones_of[a][0], clones_of[b][0])] = (
-                    holding[a], rank, holding[b], ranks[b][a]
-                )
-    for side, pool in dummies.items():
-        join(side_clones[side], _UNRANKED, dict.fromkeys(pool, _UNRANKED), _UNRANKED)
+            if (a, b) not in m.pairs:
+                join(holding[a], rank, holding[b], ranks[b][a])
 
     return ClonedGraph(
         inst=inst,
@@ -450,21 +447,33 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     each side of a block is split into classes of members equal in those
     three values; the checks run once per pair of classes, and a failing
     pair of classes names each pair of its members.  A side is a dict of
-    members and the ranks they hold, and a vertex's clones are one dict
-    shared by all the blocks they sit in, so each side is grouped once per
-    call, keyed by the dict's identity, by alpha and level, each group
-    sorted by held rank.  A block's offer cuts each group by bisection into
-    the members holding better ranks, the same rank and worse ranks, whose
-    terms (``matchings._rank_vote``) are -1, 0 and 1: a class per nonempty
-    cut, at a cost per group rather than per member.
+    members and the ranks they hold, and a vertex's clones, like a side's
+    dummies, are one dict shared by all the blocks they sit in, so each
+    side is grouped once per call, keyed by the dict's identity, by alpha
+    and level, each group sorted by held rank.  A block's offer cuts each
+    group by bisection into the members holding better ranks, the same
+    rank and worse ranks, whose terms (``matchings._rank_vote``) are -1, 0
+    and 1: a class per nonempty cut, at a cost per group rather than per
+    member.
 
     The lifted pairs are checked in one walk over the lift: each lifted
     clone–clone pair, a true edge of weight 0, gets the checks of
     ``_pair_failures``, and then every lifted pair is checked for
     tightness.  The failures name the same edges, in the same order, as a
     check of every pair would.
+
+    Raises ValueError, before any check, when the certificate lacks a
+    value for a vertex of the graph or holds values for other entries.
     """
     alpha, level = cert.alpha, g.level
+    for u in g.vertices:
+        if u not in alpha:
+            raise ValueError(f"certificate has no value for {g.clone_name(u)}")
+    if len(alpha) != len(g.vertices):
+        raise ValueError(
+            f"certificate has values for {len(alpha) - len(g.vertices)} entries "
+            "that are not vertices of the graph"
+        )
     # Failures on edges are reported in edge order.  Only they are sorted,
     # and stably, so each edge keeps its checks in the order they ran:
     # tightness, checked last on each lifted pair, comes last.

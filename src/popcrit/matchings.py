@@ -402,7 +402,7 @@ def parse_matching(inst: Instance, text: str) -> Matching:
         try:
             pair = inst.name_to_id[tokens[0]], inst.name_to_id[tokens[1]]
         except KeyError as missing:
-            raise MatchingError(f"line {lineno}: unknown vertex {missing}") from None
+            raise MatchingError(f"line {lineno}: unknown vertex {missing.args[0]}") from None
         if pair in pairs:
             raise MatchingError(f"line {lineno}: duplicate pair")
         pairs.add(pair)

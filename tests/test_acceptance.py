@@ -22,6 +22,7 @@ import pytest
 from popcrit import (
     CloneKind,
     Correspondence,
+    DualCertificate,
     GenParams,
     Side,
     VertexId,
@@ -51,6 +52,7 @@ from conftest import DATA
 from reference_cycle_check import has_positive_cycle
 from reference_min_deficiency import min_deficiency
 from reference_report import reference_report
+from reference_verifier import reference_verify
 
 SUITE_SIZE = 500
 
@@ -302,6 +304,18 @@ def test_10_lift_is_heaviest_at_scale_and_declaration_order_is_free():
         u.kind is CloneKind.CLONE and w.kind is CloneKind.LAST_RESORT
         for u, w in g.mstar.items()
     )
+
+    # Lowering the first dummy of each side breaks the edges of its
+    # clone–dummy blocks, the sum and the dummies' lifted pairs; the
+    # verifier names the same failures as a check of every pair.
+    alpha = dict(dual_assignment(g).alpha)
+    for side in (Side.A, Side.B):
+        alpha[g.dummies[side][0]] -= 1
+    cert = DualCertificate(alpha)
+    report = verify_certificate(g, cert)
+    assert report == reference_verify(g, cert)
+    assert len(report.failures) == 165
+    assert report.failed_checks == ("edge_inequalities", "zero_sum", "matched_edges_tight")
 
 
 def test_11_side_swapped_copies_solve_alike(solved):

@@ -655,6 +655,24 @@ def test_tampered_duals_are_caught(short_supply_graph, capacity_switch_graph):
     )
 
 
+def test_a_certificate_must_cover_exactly_the_graph(short_supply_graph):
+    # A certificate that misses a vertex, or holds a value for anything
+    # else, is refused before any check: the sum check would count the
+    # extra value, and a missing one would end in a KeyError.
+    g = short_supply_graph
+    alpha = dual_assignment(g).alpha
+    with pytest.raises(ValueError, match=r"^certificate has no value for a1\.1$"):
+        verify_certificate(g, DualCertificate({}))
+    partial = {u: value for u, value in alpha.items() if u != g.dummies[Side.A][0]}
+    with pytest.raises(ValueError, match=r"^certificate has no value for dummy\.A\.1$"):
+        verify_certificate(g, DualCertificate(partial))
+    with pytest.raises(
+        ValueError,
+        match=r"^certificate has values for 1 entries that are not vertices of the graph$",
+    ):
+        verify_certificate(g, DualCertificate({**alpha, "x": 5}))
+
+
 def test_report_ok_is_pure_bookkeeping():
     report = CertificateReport(checks=(("zero_sum", False),), failures=("x",))
     assert not report.ok
@@ -804,6 +822,8 @@ def _apply_moves(g, values, moves):
 # with a lifted clone–clone pair, checked on the lift: b1.1's partner a4.1
 # loses a unit of alpha, so the pair fails the edge inequality and
 # tightness together, and b3.1 drops two levels below its partner a1.1.
+# The fifth lowers one dummy on each side, so that clone–dummy blocks of
+# both orientations fail.
 @example(
     params=GenParams(n_a=5, n_b=5, max_upper=1, lq_fraction=0.5, edge_density=0.9, seed=63691),
     alpha_moves=[],
@@ -812,6 +832,11 @@ def _apply_moves(g, values, moves):
 @example(params="deficient_graph", alpha_moves=[], level_moves=[(CloneKind.CLONE, 0, 2)])
 @example(params="deficient_graph", alpha_moves=[(CloneKind.CLONE, 6, -1)], level_moves=[])
 @example(params="deficient_graph", alpha_moves=[], level_moves=[(CloneKind.CLONE, 11, -2)])
+@example(
+    params="deficient_graph",
+    alpha_moves=[(CloneKind.DUMMY, 0, -1), (CloneKind.DUMMY, -1, -1)],
+    level_moves=[],
+)
 def test_block_checks_match_the_pair_by_pair_reference(
     high_quota_graph, deficient_graph, params, alpha_moves, level_moves
 ):

@@ -79,7 +79,7 @@ def test_partners_and_size(short_supply):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("a1 b9", "unknown vertex"),
+        ("a1 b9", "^line 1: unknown vertex b9$"),
         ("b1 a1", "A-vertex, B-vertex"),
         ("a1 b1\na1 b1", "duplicate pair"),
         ("a3 b1", "not an edge"),
