@@ -188,9 +188,9 @@ class ClonedGraph:
     ``edges`` maps each canonical edge (A-side partition first) to its
     weight, read from the lift for a lifted clone–clone pair and from one
     table of blocks for every other edge (see ``CloneEdges``).  The graph
-    stores each fact once: the lower-quota sums s and t are read from
-    ``inst``, and ``vertices`` is chained from ``clones_of``, ``resorts_of``
-    and ``dummies`` when first asked for.
+    stores each fact once: the level range t and top is the run's, read
+    from ``leveled``, and ``vertices`` is chained from ``clones_of``,
+    ``resorts_of`` and ``dummies`` when first asked for.
     """
 
     inst: Instance
@@ -259,11 +259,13 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
     last-resorts only when they are themselves matched to one; vertices
     holding more than their lower quota connect every clone to every one
     of their last-resorts.  Everything goes in ascending ordinal order, so
-    the construction is deterministic.  Raises ValueError when the
-    matching breaks an upper quota or uses a non-edge.
+    the construction is deterministic.  The levels of dummies (A side at
+    the top level, B side at 0) and of last-resorts (t + 1 on side A, t on
+    side B) come from the run's range, ``leveled.t`` and ``leveled.top``.
+    Raises ValueError when the matching breaks an upper quota or uses a
+    non-edge.
     """
     m = leveled.matching
-    s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
     short = deficiency(inst, m)
     ranks = inst._ranks
 
@@ -280,7 +282,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
 
     mstar: dict[CloneId, CloneId] = {}
     level: dict[CloneId, int] = {}
-    for side, x in ((Side.A, s + t + 1), (Side.B, 0)):
+    for side, x in ((Side.A, leveled.top), (Side.B, 0)):
         level.update(dict.fromkeys(dummies[side], x))
     # Each vertex's clones, each with the rank of its lifted real partner
     # or _UNRANKED, and each side's dummies, which hold no rank.  The
@@ -313,7 +315,7 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
         bond(ai, bj, leveled.levels[(a, b)])
         holding[a][ai], holding[b][bj] = ranks[a][b], ranks[b][a]
 
-    resort_level = {Side.A: t + 1, Side.B: t}
+    resort_level = {Side.A: leveled.t + 1, Side.B: leveled.t}
     free_dummies = {side: iter(pool) for side, pool in dummies.items()}
     resorts_of: dict[VertexId, tuple[CloneId, ...]] = {}
     for v in inst.all_vertices():
@@ -363,14 +365,13 @@ def dual_assignment(g: ClonedGraph) -> DualCertificate:
 
     A vertex in the A-side partition at level x gets 2(t - x) + 1 and its
     B-side mirror the negation, so lifted pairs cancel; last-resorts and
-    clones parked on a last-resort get 0.  s and t, the lower-quota sums of
-    sides A and B, are read from ``g.inst``.  Raises ValueError when a
-    vertex sits outside the level range 0..s + t + 1, which cannot happen
-    for graphs built by build_cloned_graph.
+    clones parked on a last-resort get 0.  t and the top level are the
+    run's, ``g.leveled.t`` and ``g.leveled.top``.  Raises ValueError when a
+    vertex sits outside the level range 0..top, which cannot happen for
+    graphs built by build_cloned_graph.
     """
     alpha: dict[CloneId, int] = {}
-    s, t = g.inst.sum_lower(Side.A), g.inst.sum_lower(Side.B)
-    mstar, levels, top = g.mstar, g.level, s + t + 1
+    mstar, levels, t, top = g.mstar, g.level, g.leveled.t, g.leveled.top
     for u in g.vertices:
         if u.kind is _LAST_RESORT or (
             u.kind is _CLONE and mstar[u].kind is _LAST_RESORT

@@ -36,6 +36,11 @@ class Side(str, Enum):
 # enum member through its class costs about 165 ns on Python 3.11.
 _SIDE_A = Side.A
 
+# The certificate report names a vertex's last-resorts ``lr.<name>.k`` and
+# a side's dummies ``dummy.<side>.k``, beside the clones ``<name>.k``; a
+# vertex name with one of these prefixes could name two of them alike.
+_REPORT_PREFIXES = ("lr.", "dummy.")
+
 
 class VertexId(NamedTuple):
     side: Side
@@ -154,10 +159,12 @@ def validate_instance(inst: Instance) -> list[str]:
     can be read then.  Otherwise the vertices are walked once, A side
     first and each side in declaration order, and each vertex's violations
     come in this order: a name that an instance file cannot hold (it is
-    not one token, or holds ``#``), a duplicate name, a negative quota,
-    lower > upper, a repeated preference entry, and for each entry in turn
-    one that is out of range, on the same side, or not mutual.  The
-    messages name the vertex, never a line.
+    not one token, or holds ``#``), a name that begins with ``lr.`` or
+    ``dummy.`` (the certificate report's prefixes for last-resorts and
+    dummies), a duplicate name, a negative quota, lower > upper, a
+    repeated preference entry, and for each entry in turn one that is out
+    of range, on the same side, or not mutual.  The messages name the
+    vertex, never a line.
     """
     violations: list[str] = []
     for side, names, quotas, prefs in (
@@ -178,6 +185,11 @@ def validate_instance(inst: Instance) -> list[str]:
         if name.split() != [name] or "#" in name:
             violations.append(
                 f"vertex name {name!r} cannot be written in an instance file"
+            )
+        if name.startswith(_REPORT_PREFIXES):
+            violations.append(
+                f"vertex name {name!r} begins with a prefix the certificate "
+                f"report reserves (lr. or dummy.)"
             )
         if name in seen:
             violations.append(f"duplicate vertex name {name}")

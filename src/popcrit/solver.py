@@ -1,7 +1,7 @@
 """Level-based proposal algorithm for popular critical matchings.
 
 Vertices on side A propose in rounds, carrying a level from 0 up to
-s + t + 1 where s and t are the total lower quotas of sides A and B.  A
+top = s + t + 1 where s and t are the total lower quotas of sides A and B.  A
 receiver always prefers a higher-level proposer regardless of its own
 preference order; ties in level fall back to the order.  Below level t a
 proposer only approaches lower-quota receivers and a receiver caps itself
@@ -13,7 +13,11 @@ after exhausting its list keeps climbing with its capacity clamped to that
 lower quota.
 
 ``solve`` runs the algorithm with a FIFO queue seeded in A-declaration
-order.  It works on plain int vertex indices: it builds per-side quota,
+order.  It is the one place that derives the level range from the
+quotas: the run carries it, as ``LeveledMatching.t`` and
+``LeveledMatching.top`` and as ``Trace.t``, and the trace renderer, the
+property check and the certificate read it from there.  It works on
+plain int vertex indices: it builds per-side quota,
 preference and rank tables once per call and keeps a per-receiver count of
 partners below level t, so each proposal costs O(1) apart from choosing
 the receiver's worst partner when it is full.  Each proposal appends one
@@ -75,10 +79,14 @@ class InvariantError(RuntimeError):
 class LeveledMatching:
     """The level at which each matched edge was formed and the highest
     level each A-vertex reached during the run; the matching is the set of
-    leveled edges."""
+    leveled edges.  ``t`` and ``top`` are the run's level range: t, the
+    total lower quota of side B, is where the sub-t race ends, and top =
+    s + t + 1 is the highest level a proposer can reach."""
 
     levels: Mapping[Edge, int]
     max_level: Mapping[VertexId, int]
+    t: int
+    top: int
 
     @cached_property
     def matching(self) -> Matching:
@@ -99,10 +107,12 @@ class Trace:
     """Every proposal of one run, as ``_WIDTH`` ints per row of
     ``record``, in the order they were made.  ``record`` is a read-only
     ``memoryview`` of format ``q``; it indexes, slices and iterates like a
-    flat sequence of ints, but cannot be pickled."""
+    flat sequence of ints, but cannot be pickled.  ``t`` is the run's
+    ``LeveledMatching.t``, which sets each row's ``c_a``."""
 
     inst: Instance
     record: memoryview
+    t: int
 
     @property
     def proposal_count(self) -> int:
@@ -129,7 +139,7 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
     The output deficiency is minimum over all matchings and the matching is
     popular among, and largest among popular ones within, the minimum
     deficiency matchings.  The number of proposals is bounded by
-    (s + t + 2) * |E|.
+    (top + 1) * |E|, top = s + t + 1 being the highest level.
     """
     a_names, b_names = inst.a_names, inst.b_names
     n_a, n_b = len(a_names), len(b_names)
@@ -142,7 +152,7 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
     b_rank = [{a.index: r for r, a in enumerate(p)} for p in inst.b_prefs]
     s, t = sum(a_lower), sum(b_lower)
     top = s + t + 1
-    budget = (s + t + 2) * len(inst.edges)
+    budget = (top + 1) * len(inst.edges)
 
     # Each matched edge's level, under both of its endpoints, and the
     # number of each receiver's partners held below level t.
@@ -249,8 +259,8 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
         for b, level in a_held[a].items()
     }
     max_levels = {a_ids[a]: level for a, level in enumerate(max_level)}
-    leveled = LeveledMatching(levels=levels, max_level=max_levels)
-    return leveled, Trace(inst, memoryview(record).toreadonly().cast("q"))
+    leveled = LeveledMatching(levels=levels, max_level=max_levels, t=t, top=top)
+    return leveled, Trace(inst, memoryview(record).toreadonly().cast("q"), t)
 
 
 def check_output_properties(inst: Instance, leveled: LeveledMatching) -> list[str]:
@@ -268,9 +278,10 @@ def check_output_properties(inst: Instance, leveled: LeveledMatching) -> list[st
     5. if a reached level x > 1, every matched copy at b sits at level
        >= x - 1.
 
+    t and the top level are the run's, ``leveled.t`` and ``leveled.top``.
     Returns human-readable violation strings, empty when all hold.
     """
-    s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
+    t, top = leveled.t, leveled.top
     m = leveled.matching
     violations = []
     for a, b in sorted(inst.edges - m.pairs):
@@ -302,7 +313,7 @@ def check_output_properties(inst: Instance, leveled: LeveledMatching) -> list[st
                 violations.append(
                     f"{name}: deficient proposer but receiver not full"
                 )
-            if any(x != s + t + 1 for x in levels_at_b):
+            if any(x != top for x in levels_at_b):
                 violations.append(
                     f"{name}: deficient proposer but receiver keeps a copy "
                     f"below the top level"
@@ -335,7 +346,8 @@ _CHUNK = 8192
 def _csv_blocks(trace: Trace) -> Iterator[str]:
     """The trace CSV in pieces: the header line, then the rows of each block
     of ``_CHUNK`` proposals, byte for byte as ``csv.writer`` would write
-    them.  Names and quotas are read from ``trace.inst``.
+    them.  Names and quotas are read from ``trace.inst``, and the level
+    past which ``c_a`` is the lower quota from ``trace.t``.
 
     Each name is quoted once per call, by ``csv.writer`` itself, into cell
     tables: per A vertex its name and ``,c_a,`` for either quota, per
@@ -345,8 +357,7 @@ def _csv_blocks(trace: Trace) -> Iterator[str]:
     one strided slice of the record, the ``rejected`` column is built
     first, and each row is one f-string over the tables.
     """
-    inst, rec = trace.inst, trace.record
-    t = inst.sum_lower(Side.B)
+    inst, rec, t = trace.inst, trace.record, trace.t
     a_cells = _csv_cells(inst.a_names)
     # Indexed by ``level > t + 1``: the upper quota through level t + 1.
     c_a_cells = [(f",{q.upper},", f",{q.lower},") for q in inst.a_quotas]

@@ -202,8 +202,12 @@ def test_7_proposal_budget_holds_on_every_run(
 ):
     runs = list(solved)
     runs += [(inst,) + solve(inst) for inst in (short_supply, capacity_switch, one_post)]
-    for inst, _, trace in runs:
-        s, t = inst.sum_lower(Side.A), inst.sum_lower(Side.B)
+    for inst, leveled, trace in runs:
+        # The level range, summed here from the quotas: the run must carry
+        # the same one to the certificate, the trace and the property check.
+        s = sum(q.lower for q in inst.a_quotas)
+        t = sum(q.lower for q in inst.b_quotas)
+        assert (leveled.t, leveled.top, trace.t) == (t, s + t + 1, t)
         assert trace.proposal_count <= (s + t + 2) * len(inst.edges)
 
 

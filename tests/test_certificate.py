@@ -18,9 +18,11 @@ from popcrit import (
     Correspondence,
     DualCertificate,
     GenParams,
+    Instance,
     Side,
     VertexId,
     build_cloned_graph,
+    check_output_properties,
     clone_matching_weight,
     critical_set,
     delta,
@@ -33,6 +35,7 @@ from popcrit import (
     random_correspondence,
     render_certificate_report,
     solve,
+    trace_to_csv,
     verify_certificate,
     vote,
 )
@@ -90,6 +93,38 @@ def _resort(side, index, ordinal):
 
 
 # ------------------------------------------------------------- construction
+
+
+def _pipeline_outputs(inst):
+    """Everything solving and certifying inst produces: the trace CSV, the
+    property check's list, and the dual values, report and rendered report
+    of the closed-form certificate and of one with its first value lowered
+    by 1."""
+    leveled, trace = solve(inst)
+    g = build_cloned_graph(inst, leveled)
+    cert = dual_assignment(g)
+    first = g.vertices[0]
+    skewed = DualCertificate({**cert.alpha, first: cert.alpha[first] - 1})
+    outputs = [trace_to_csv(trace), check_output_properties(inst, leveled)]
+    for dual in (cert, skewed):
+        report = verify_certificate(g, dual)
+        outputs += [dual.alpha, report, render_certificate_report(g, dual, report)]
+    return outputs
+
+
+def test_the_pipeline_reads_the_level_range_from_the_run(
+    short_supply, deficient_graph, monkeypatch
+):
+    # The solver states the level range once and the run carries it, so
+    # nothing downstream sums the quotas again.
+    instances = [short_supply, deficient_graph.inst]
+    expected = [_pipeline_outputs(inst) for inst in instances]
+
+    def refuse(self, side):
+        raise AssertionError("the level range is read from the run")
+
+    monkeypatch.setattr(Instance, "sum_lower", refuse)
+    assert [_pipeline_outputs(inst) for inst in instances] == expected
 
 
 def test_clone_counts(short_supply_graph):
@@ -488,6 +523,19 @@ def test_dual_values_by_hand(short_supply_graph):
     assert named["lr.a1.1"] == 0
     assert named["lr.b1.1"] == 0
     assert sum(cert.alpha.values()) == 0
+
+
+@pytest.mark.parametrize("where", ["above", "below"])
+def test_dual_refuses_a_level_outside_the_run_range(short_supply_graph, where):
+    g = short_supply_graph
+    # A clone lifted onto a real partner: only a parked clone skips the
+    # range check.
+    u = _clone(Side.A, 0, 1)
+    assert g.mstar[u].kind is CloneKind.CLONE
+    planted = g.leveled.top + 1 if where == "above" else -1
+    g = dataclasses.replace(g, level={**g.level, u: planted})
+    with pytest.raises(ValueError, match=r"^a1\.1 sits outside the level range$"):
+        dual_assignment(g)
 
 
 def test_lifted_pairs_cancel(capacity_switch_graph):

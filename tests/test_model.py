@@ -167,6 +167,34 @@ def test_validate_refuses_a_name_an_instance_file_cannot_hold(short_supply, bad)
     ]
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        # The clone of lr.b1 and b1's last-resort would both be lr.b1.1.
+        (
+            "A lr.b1 0 1\nA a2 0 1\nB b1 0 2\n"
+            "PREF lr.b1 b1\nPREF a2 b1\nPREF b1 a2 lr.b1\n",
+            "lr.b1",
+        ),
+        # The clone of dummy.B and side B's dummy would both be dummy.B.1.
+        (
+            "A dummy.B 1 1\nA a2 1 1\nB b1 1 1\nB b2 1 1\n"
+            "PREF dummy.B b1\nPREF a2 b1\nPREF b1 a2 dummy.B\nPREF b2\n",
+            "dummy.B",
+        ),
+    ],
+    ids=["last-resort", "dummy"],
+)
+def test_validate_refuses_a_name_the_certificate_report_reserves(text, name):
+    message = (
+        f"vertex name {name!r} begins with a prefix the certificate report "
+        f"reserves (lr. or dummy.)"
+    )
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = "# instance\nA a1 0 1  # trailing\n\nB b1 0 1\nPREF a1 b1\nPREF b1 a1\n"
     inst = parse_instance(text)

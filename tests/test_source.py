@@ -44,6 +44,8 @@ def test_all_lists_exactly_the_public_names_of_the_package():
     }
     assert popcrit.__all__ == sorted(set(popcrit.__all__))
     assert set(popcrit.__all__) == public
+    # dir() lists the public names, loaded or not.
+    assert dir(popcrit) == popcrit.__all__
 
 
 def test_import_loads_each_submodule_on_first_use():
