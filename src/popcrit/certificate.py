@@ -588,6 +588,14 @@ def render_certificate_report(
     return "\n".join(lines) + "\n"
 
 
+def _check_graph_instance(g: ClonedGraph, inst: Instance) -> None:
+    """Raise ValueError unless inst is the instance g was built on.  The
+    identity test comes first, so a caller that passes ``g.inst`` itself
+    pays for no comparison."""
+    if inst is not g.inst and inst != g.inst:
+        raise ValueError("instance differs from the one the cloned graph was built on")
+
+
 def map_matching_to_clones(
     g: ClonedGraph, inst: Instance, n: Matching, corr: Correspondence
 ) -> frozenset[CloneEdge]:
@@ -598,7 +606,7 @@ def map_matching_to_clones(
     matching m: each clone's vote against its lifted partner realizes
     exactly one correspondence pair.  The rival must be critical, meaning
     its per-side deficiencies match the graph's dummy counts; anything
-    else is rejected.
+    else is rejected, and so is an ``inst`` that differs from ``g.inst``.
 
     One pass over the vertices, A side first, walks each vertex's clones
     in ordinal order.  A clone whose m-partner n keeps stays on its lifted
@@ -607,6 +615,7 @@ def map_matching_to_clones(
     from bottom, and those still left are parked as ``build_cloned_graph``
     parks them (``_park``), from n's shortfall at the vertex.
     """
+    _check_graph_instance(g, inst)
     m = g.leveled.matching
     short = deficiency(inst, n)
     validate_correspondence(inst, n, m, corr)
@@ -680,9 +689,10 @@ def clone_matching_weight(
     """Total weight of a clone matching, for comparing against delta.
 
     The weights come from ``g.edges``, so each edge is in canonical
-    orientation; ``inst`` is not read.  Raises ValueError for a pair outside
-    the graph.
+    orientation; ``inst`` must be ``g.inst`` or equal to it.  Raises
+    ValueError for another instance and for a pair outside the graph.
     """
+    _check_graph_instance(g, inst)
     try:
         return sum(g.edges[e] for e in nstar)
     except KeyError:

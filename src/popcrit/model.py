@@ -158,13 +158,13 @@ def validate_instance(inst: Instance) -> list[str]:
     one side are reported alone, one violation per side, since no vertex
     can be read then.  Otherwise the vertices are walked once, A side
     first and each side in declaration order, and each vertex's violations
-    come in this order: a name that an instance file cannot hold (it is
-    not one token, or holds ``#``), a name that begins with ``lr.`` or
-    ``dummy.`` (the certificate report's prefixes for last-resorts and
-    dummies), a duplicate name, a negative quota, lower > upper, a
-    repeated preference entry, and for each entry in turn one that is out
-    of range, on the same side, or not mutual.  The messages name the
-    vertex, never a line.
+    come in this order: a name that cannot be written bare (it is not one
+    token, or holds ``#``, ``,`` or ``"``), a name that begins with
+    ``lr.`` or ``dummy.`` (the certificate report's prefixes for
+    last-resorts and dummies), a duplicate name, a negative quota, lower >
+    upper, a repeated preference entry, and for each entry in turn one that
+    is out of range, on the same side, or not mutual.  The messages name
+    the vertex, never a line.
     """
     violations: list[str] = []
     for side, names, quotas, prefs in (
@@ -182,9 +182,12 @@ def validate_instance(inst: Instance) -> list[str]:
     seen: set[str] = set()
     for v in inst.all_vertices():
         name, q, prefs = inst.name(v), inst.quotas(v), inst.pref(v)
-        if name.split() != [name] or "#" in name:
+        # A name is written bare in every file popcrit writes: as one token
+        # of an instance or matching file, where ``#`` starts a comment, and
+        # as one cell of a trace CSV, which ``,`` or ``"`` would make csv quote.
+        if name.split() != [name] or any(c in name for c in '#,"'):
             violations.append(
-                f"vertex name {name!r} cannot be written in an instance file"
+                f"vertex name {name!r} must be one token without '#', ',' or '\"'"
             )
         if name.startswith(_REPORT_PREFIXES):
             violations.append(
@@ -227,6 +230,17 @@ def _records(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, tokens
 
 
+def _quota(token: str) -> int:
+    """A quota token as an int: an optional ``-`` and ASCII digits, as
+    ``serialize_instance`` writes it.  Anything else raises ValueError, also
+    what ``int`` alone would read (``+1``, ``1_0``, non-ASCII digits), and
+    so does ``int`` for more digits than ``sys.get_int_max_str_digits()``.
+    """
+    if token.isascii() and token.removeprefix("-").isdecimal():
+        return int(token)
+    raise ValueError(f"not a quota: {token!r}")
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the line-based instance format.
 
@@ -240,12 +254,12 @@ def parse_instance(text: str) -> Instance:
     must have exactly one PREF line (an empty neighbor list is allowed).
     The parser reads only syntax and names: it raises InstanceFormatError
     with the number of the first line that breaks the grammar, has a quota
-    that is no integer, declares a vertex after a PREF line, names an
-    unknown vertex, or repeats a declaration or a PREF line; then, with no
-    line number, for vertices that have no PREF line.  The text it reads is
-    then held to ``validate_instance``'s rules (quotas, repeated entries,
-    side and mutuality), and every violation is reported at once, joined by
-    ``"; "``.
+    that is not an optional ``-`` and ASCII digits, declares a vertex after
+    a PREF line, names an unknown vertex, or repeats a declaration or a
+    PREF line; then, with no line number, for vertices that have no PREF
+    line.  The text it reads is then held to ``validate_instance``'s rules
+    (names, quotas, repeated entries, side and mutuality), and every
+    violation is reported at once, joined by ``"; "``.
     """
     a_names: list[str] = []
     b_names: list[str] = []
@@ -267,7 +281,7 @@ def parse_instance(text: str) -> Instance:
             if name in quotas:
                 fail(lineno, f"duplicate vertex {name}")
             try:
-                quotas[name] = Quotas(int(tokens[2]), int(tokens[3]))
+                quotas[name] = Quotas(_quota(tokens[2]), _quota(tokens[3]))
             except ValueError:
                 fail(lineno, "quotas must be integers")
             (a_names if kind == "A" else b_names).append(name)

@@ -30,8 +30,9 @@ after each proposal the receiver accepts, the only kind that can raise a
 count.  ``Trace.events`` decodes the record into ``ProposalEvent``s on
 first access.  ``_csv_blocks`` renders it as CSV without decoding it,
 naming the vertices of the trace's own instance ``Trace.inst``, so a
-trace cannot be rendered against another instance: it quotes each name
-once per call into per-vertex cell tables, then yields
+trace cannot be rendered against another instance.  ``validate_instance``
+refuses a name that holds a comma, a double quote or whitespace, so every
+name is written bare, as ``csv.writer`` would write it.  The renderer yields
 the header and the rows of each block of ``_CHUNK`` proposals, taking each
 column of a block as one strided slice and joining one f-string per row.
 ``trace_to_csv`` joins those pieces, and ``popcrit trace`` reads them back
@@ -51,7 +52,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from struct import Struct
-from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .matchings import Matching
@@ -329,15 +329,6 @@ def check_output_properties(inst: Instance, leveled: LeveledMatching) -> list[st
 _CSV_COLUMNS = ["seq", "a", "level", "c_a", "b", "c_b", "rejected", "matching_size"]
 
 
-def _csv_cells(names: Iterable[str]) -> list[str]:
-    """Each name as ``csv.writer`` writes it inside a row of several fields
-    (a lone empty field would be written as ``""``).  ``writerow`` returns
-    what the file's ``write`` returns, so ``str`` as ``write`` hands the
-    formatted row back."""
-    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
-    return [writer.writerow((name, ""))[:-2] for name in names]
-
-
 # Rows per block of _csv_blocks: enough to amortise a block's slices,
 # few enough that its row strings stay small next to the output.
 _CHUNK = 8192
@@ -346,43 +337,37 @@ _CHUNK = 8192
 def _csv_blocks(trace: Trace) -> Iterator[str]:
     """The trace CSV in pieces: the header line, then the rows of each block
     of ``_CHUNK`` proposals, byte for byte as ``csv.writer`` would write
-    them.  Names and quotas are read from ``trace.inst``, and the level
-    past which ``c_a`` is the lower quota from ``trace.t``.
+    them for any instance that passes ``validate_instance``.  Its names
+    hold no comma, double quote or line break, so ``csv.writer`` quotes no
+    cell and each name is written bare.  Names and quotas are read from
+    ``trace.inst``, and the level past which ``c_a`` is the lower quota
+    from ``trace.t``.
 
-    Each name is quoted once per call, by ``csv.writer`` itself, into cell
-    tables: per A vertex its name and ``,c_a,`` for either quota, per
-    receiver and quota flag ``name,c_b,``, and per A vertex a prefix and a
-    suffix around the level of a rejected copy ``name^level`` (``^`` and
-    digits never change the quoting decision).  Each column of a block is
-    one strided slice of the record, the ``rejected`` column is built
-    first, and each row is one f-string over the tables.
+    Cell tables hold per A vertex ``,c_a,`` for either quota and per
+    receiver and quota flag ``name,c_b,``.  Each column of a block is one
+    strided slice of the record, the ``rejected`` column ``name^level`` is
+    built first, and each row is one f-string over the names and tables.
     """
     inst, rec, t = trace.inst, trace.record, trace.t
-    a_cells = _csv_cells(inst.a_names)
+    a_names = inst.a_names
     # Indexed by ``level > t + 1``: the upper quota through level t + 1.
     c_a_cells = [(f",{q.upper},", f",{q.lower},") for q in inst.a_quotas]
     # Indexed by the record's flag, like the (lower, upper) Quotas pair.
     b_cells = [
         (f"{name},{q.lower},", f"{name},{q.upper},")
-        for name, q in zip(_csv_cells(inst.b_names), inst.b_quotas)
+        for name, q in zip(inst.b_names, inst.b_quotas)
     ]
-    carets = [f"{name}^" for name in inst.a_names]
-    rej_prefix, rej_suffix = [], []
-    for bare, cell in zip(carets, _csv_cells(carets)):
-        quoted = cell != bare
-        rej_prefix.append(cell[:-1] if quoted else cell)
-        rej_suffix.append('"' if quoted else "")
 
     step = _CHUNK * _WIDTH
     yield ",".join(_CSV_COLUMNS) + "\n"
     for lo in range(0, len(rec), step):
         hi = lo + step
         rejected = [
-            "-" if rej < 0 else f"{rej_prefix[rej]}{rej_level}{rej_suffix[rej]}"
+            "-" if rej < 0 else f"{a_names[rej]}^{rej_level}"
             for rej, rej_level in zip(rec[lo + 4:hi:_WIDTH], rec[lo + 5:hi:_WIDTH])
         ]
         yield "".join([
-            f"{seq},{a_cells[a]},{level}{c_a_cells[a][level > t + 1]}"
+            f"{seq},{a_names[a]},{level}{c_a_cells[a][level > t + 1]}"
             f"{b_cells[b][b_upper]}{rej},{size}\n"
             for seq, a, level, b, b_upper, rej, size in zip(
                 range(lo // _WIDTH + 1, hi // _WIDTH + 1),
@@ -393,9 +378,10 @@ def _csv_blocks(trace: Trace) -> Iterator[str]:
 
 
 def trace_to_csv(trace: Trace) -> str:
-    """Render a trace as CSV with one row per proposal, byte for byte as
-    ``csv.writer`` would write the rows, naming the vertices of the
-    instance the trace was solved on."""
+    """Render a trace as CSV with one row per proposal, naming the vertices
+    of the instance the trace was solved on.  For any instance that passes
+    ``validate_instance``, as for ``solve``, the text is byte for byte what
+    ``csv.writer`` would write for the rows."""
     return "".join(_csv_blocks(trace))
 
 

@@ -2,7 +2,8 @@
 
 ``reference_trace_csv`` decodes the solver's record one row at a time and
 hands each row to ``csv.writer``, which decides the quoting of every field.
-``trace_to_csv`` must return the same text, byte for byte, on any trace.
+``trace_to_csv`` must return the same text, byte for byte, on any trace of
+an instance that passes ``validate_instance``.
 """
 
 from __future__ import annotations

@@ -798,6 +798,31 @@ def test_lift_rejects_non_critical_rivals(short_supply_graph, short_supply):
         map_matching_to_clones(short_supply_graph, short_supply, m1, corr)
 
 
+def test_lift_and_weight_refuse_an_instance_other_than_the_graphs(
+    short_supply_graph, short_supply
+):
+    g, m = short_supply_graph, short_supply_graph.leveled.matching
+    reversed_b = dataclasses.replace(
+        short_supply, b_prefs=tuple(p[::-1] for p in short_supply.b_prefs)
+    )
+    n = parse_matching(reversed_b, "a1 b2\na2 b1\na2 b2\n")
+    corr = random_correspondence(reversed_b, n, m, random.Random(0))
+    # Lifted and weighed against g's instance, n would weigh -3, while its
+    # vote total under the instance passed is +1.
+    assert delta(reversed_b, n, m, corr) == 1
+    with pytest.raises(ValueError, match="instance differs"):
+        map_matching_to_clones(g, reversed_b, n, corr)
+    lifted = map_matching_to_clones(g, short_supply, n, corr)
+    assert clone_matching_weight(g, short_supply, lifted) == delta(short_supply, n, m, corr) == -3
+    with pytest.raises(ValueError, match="instance differs"):
+        clone_matching_weight(g, reversed_b, lifted)
+    # An equal copy of g's instance is the same instance.
+    copy = dataclasses.replace(short_supply)
+    assert copy is not g.inst
+    assert map_matching_to_clones(g, copy, n, corr) == lifted
+    assert clone_matching_weight(g, copy, lifted) == -3
+
+
 # ----------------------------------------------------------------- sweeping
 
 

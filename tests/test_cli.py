@@ -11,6 +11,7 @@ from popcrit import (
     cli,
     dual_assignment,
     generate_random_instance,
+    parse_instance,
     read_trace_csv,
     serialize_instance,
     solve,
@@ -19,6 +20,7 @@ from popcrit import (
 from popcrit.cli import main
 
 from conftest import DATA, run_interpreter
+from reference_trace_csv import reference_trace_csv
 
 SHORT_SUPPLY = str(DATA / "short_supply.inst")
 CAPACITY_SWITCH = str(DATA / "capacity_switch.inst")
@@ -171,6 +173,22 @@ def test_gen_refuses_a_bad_parameter(args, message, capsys):
 def test_trace_replay_matches(tmp_path, capsys):
     assert main(["trace", SHORT_SUPPLY, str(DATA / "short_supply_trace.csv")]) == 0
     assert capsys.readouterr().out == "MATCH 31 proposals\n"
+
+
+def test_special_names_are_traced_bare_and_replayed(tmp_path, capsys):
+    # Legal names that look special in a trace CSV: `-` and `^` as in the
+    # rejected column, a header word, a quote csv does not use, a non-ASCII
+    # letter.
+    path = DATA / "special_names.inst"
+    trace_path = tmp_path / "trace.csv"
+    assert main(["solve", str(path), "--emit-trace", str(trace_path)]) == 0
+    capsys.readouterr()
+    inst = parse_instance(path.read_text())
+    assert {"-", "^", "x^1", "seq", "'", "é"} == set(inst.a_names + inst.b_names)
+    trace = solve(inst)[1]
+    assert trace_path.read_text() == reference_trace_csv(inst, trace)
+    assert main(["trace", str(path), str(trace_path)]) == 0
+    assert capsys.readouterr().out == f"MATCH {trace.proposal_count} proposals\n"
 
 
 def test_trace_replay_detects_divergence(tmp_path, capsys):

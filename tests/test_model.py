@@ -82,6 +82,14 @@ def test_serialize_parse_round_trip(short_supply):
         ("A a1 1", "expected 'A <name> <lower> <upper>'"),
         ("A a1 1 2\nA a1 0 1\nPREF a1", "duplicate vertex a1"),
         ("A a1 x 2\nPREF a1", "quotas must be integers"),
+        # int() alone reads these; the grammar is ASCII digits after an
+        # optional minus sign, as serialize_instance writes them.
+        ("A a1 \u0663 5\nPREF a1", "line 1: quotas must be integers"),
+        ("B b1 1_0 1_2\nPREF b1", "line 1: quotas must be integers"),
+        ("A a1 \uff11 \uff12\nPREF a1", "line 1: quotas must be integers"),
+        ("A a1 +1 2\nPREF a1", "line 1: quotas must be integers"),
+        ("A a1 --1 2\nPREF a1", "line 1: quotas must be integers"),
+        ("A a1 1 -\nPREF a1", "line 1: quotas must be integers"),
         ("A a1 -1 2\nPREF a1", "negative quota on a1"),
         ("A a1 3 2\nPREF a1", "lower quota 3 exceeds upper quota 2"),
         ("A a1 0 1\nPREF a1\nB b1 0 1\nPREF b1", "declared after a PREF"),
@@ -157,14 +165,16 @@ def test_validate_reports_every_fault_parse_instance_refuses(short_supply):
 
 
 @pytest.mark.parametrize(
-    "bad", ["a 1", "a#1", "", "a\x0b1"], ids=["space", "hash", "empty", "vertical-tab"]
+    "bad",
+    ["a 1", "a#1", "", "a\x0b1", "a,1", 'a"1'],
+    ids=["space", "hash", "empty", "vertical-tab", "comma", "double-quote"],
 )
 def test_validate_refuses_a_name_an_instance_file_cannot_hold(short_supply, bad):
-    # serialize_instance would write a file that parse_instance refuses.
+    # serialize_instance would write a file that parse_instance refuses, and
+    # a comma or a double quote would need quoting in a trace CSV.
     inst = dataclasses.replace(short_supply, a_names=(bad, "a2", "a3"))
-    assert validate_instance(inst) == [
-        f"vertex name {bad!r} cannot be written in an instance file"
-    ]
+    message = f"vertex name {bad!r} must be one token without '#', ',' or '\"'"
+    assert validate_instance(inst) == [message]
 
 
 @pytest.mark.parametrize(
