@@ -428,6 +428,19 @@ def _pair_failures(
         yield "level_weight_bounds", f"same-level true edge {{}} weighs {wt} > 0"
 
 
+def _check_coverage(g: ClonedGraph, alpha: Mapping[CloneId, int]) -> None:
+    """Raise ValueError unless alpha holds a value for exactly the vertices
+    of g."""
+    for u in g.vertices:
+        if u not in alpha:
+            raise ValueError(f"certificate has no value for {g.clone_name(u)}")
+    if len(alpha) != len(g.vertices):
+        raise ValueError(
+            f"certificate has values for {len(alpha) - len(g.vertices)} entries "
+            "that are not vertices of the graph"
+        )
+
+
 def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateReport:
     """Numerically verify that the dual certificate proves popularity.
 
@@ -467,14 +480,7 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     value for a vertex of the graph or holds values for other entries.
     """
     alpha, level = cert.alpha, g.level
-    for u in g.vertices:
-        if u not in alpha:
-            raise ValueError(f"certificate has no value for {g.clone_name(u)}")
-    if len(alpha) != len(g.vertices):
-        raise ValueError(
-            f"certificate has values for {len(alpha) - len(g.vertices)} entries "
-            "that are not vertices of the graph"
-        )
+    _check_coverage(g, alpha)
     # Failures on edges are reported in edge order.  Only they are sorted,
     # and stably, so each edge keeps its checks in the order they ran:
     # tightness, checked last on each lifted pair, comes last.
@@ -570,8 +576,13 @@ def render_certificate_report(
     order of ``sorted(g.vertices)``, since CloneKind's values sort clone,
     dummy, last_resort.  A clone sits on its own side of the partition, a
     dummy or last-resort on the other.
+
+    Raises ValueError, as ``verify_certificate`` does, when the certificate
+    lacks a value for a vertex of the graph or holds values for other
+    entries.
     """
     alpha, level = cert.alpha, g.level
+    _check_coverage(g, alpha)
     lines = []
     # Each group, a vertex's clones or last-resorts or a side's dummies,
     # shares its name stem and its partition side.

@@ -18,6 +18,7 @@ import functools
 import io
 import sys
 from collections import deque
+from dataclasses import fields
 from itertools import zip_longest
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -133,14 +134,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    params = GenParams(
-        n_a=args.n_a,
-        n_b=args.n_b,
-        max_upper=args.max_upper,
-        lq_fraction=args.lq_fraction,
-        edge_density=args.edge_density,
-        seed=args.seed,
-    )
+    params = GenParams(**{f.name: getattr(args, f.name) for f in fields(GenParams)})
     text = serialize_instance(generate_random_instance(params))
     if args.out:
         Path(args.out).write_text(text)
@@ -237,12 +231,9 @@ def _build_parser() -> _Parser:
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="write a random instance")
-    p_gen.add_argument("--n-a", type=int, default=3)
-    p_gen.add_argument("--n-b", type=int, default=3)
-    p_gen.add_argument("--max-upper", type=int, default=3)
-    p_gen.add_argument("--lq-fraction", type=float, default=0.5)
-    p_gen.add_argument("--edge-density", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=0)
+    for f in fields(GenParams):
+        option = "--" + f.name.replace("_", "-")
+        p_gen.add_argument(option, type=type(f.default), default=f.default)
     p_gen.add_argument("--out", metavar="PATH")
     p_gen.set_defaults(func=_cmd_gen)
 

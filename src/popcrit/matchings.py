@@ -374,7 +374,10 @@ def vertex_gain(
 def random_correspondence(
     inst: Instance, m: Matching, n: Matching, rng
 ) -> Correspondence:
-    """A uniformly shuffled correspondence for (m, n), driven by rng."""
+    """A uniformly shuffled correspondence for (m, n), driven by rng.
+    Raises MatchingError unless both matchings pass ``check_matching``."""
+    check_matching(inst, m)
+    check_matching(inst, n)
     out: dict[VertexId, tuple[CorrPair, ...]] = {}
     for v in inst.all_vertices():
         rows, cols = _padded_difference(m.partners(v), n.partners(v))
@@ -412,7 +415,9 @@ def parse_matching(inst: Instance, text: str) -> Matching:
 
 
 def serialize_matching(inst: Instance, m: Matching) -> str:
-    """Render a matching in the format accepted by parse_matching."""
+    """Render a matching in the format accepted by parse_matching.  Raises
+    MatchingError unless m passes ``check_matching``."""
+    check_matching(inst, m)
     lines = [
         f"{inst.name(a)} {inst.name(b)}" for a, b in sorted(m.pairs)
     ]

@@ -330,12 +330,9 @@ def serialize_instance(inst: Instance) -> str:
     inst: same names, quotas and preference orders.
     """
     lines = []
-    for v in inst.vertices(Side.A):
+    for v in inst.all_vertices():
         q = inst.quotas(v)
-        lines.append(f"A {inst.name(v)} {q.lower} {q.upper}")
-    for v in inst.vertices(Side.B):
-        q = inst.quotas(v)
-        lines.append(f"B {inst.name(v)} {q.lower} {q.upper}")
+        lines.append(f"{v.side.value} {inst.name(v)} {q.lower} {q.upper}")
     for v in inst.all_vertices():
         names = " ".join(inst.name(u) for u in inst.pref(v))
         lines.append(f"PREF {inst.name(v)} {names}".rstrip())
@@ -350,10 +347,12 @@ _MAX_GEN_PAIRS = 1_000_000
 
 @dataclass(frozen=True)
 class GenParams:
-    """Parameters for the seeded random instance generator."""
+    """Parameters for the seeded random instance generator.  The fields and
+    their defaults are also ``popcrit gen``'s options, so ``GenParams()`` is
+    its default instance."""
 
-    n_a: int
-    n_b: int
+    n_a: int = 3
+    n_b: int = 3
     max_upper: int = 3
     lq_fraction: float = 0.5
     edge_density: float = 0.5

@@ -54,7 +54,7 @@ from functools import cached_property
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .matchings import Matching
+from .matchings import Matching, check_matching
 from .model import Edge, Instance, Side, VertexId
 
 # A rejected copy is a (vertex, level) pair; None means nothing was
@@ -279,10 +279,12 @@ def check_output_properties(inst: Instance, leveled: LeveledMatching) -> list[st
        >= x - 1.
 
     t and the top level are the run's, ``leveled.t`` and ``leveled.top``.
-    Returns human-readable violation strings, empty when all hold.
+    Returns human-readable violation strings, empty when all hold.  Raises
+    MatchingError first unless the matching passes ``check_matching``.
     """
     t, top = leveled.t, leveled.top
     m = leveled.matching
+    check_matching(inst, m)
     violations = []
     for a, b in sorted(inst.edges - m.pairs):
         name = f"({inst.name(a)}, {inst.name(b)})"

@@ -705,20 +705,27 @@ def test_tampered_duals_are_caught(short_supply_graph, capacity_switch_graph):
 
 def test_a_certificate_must_cover_exactly_the_graph(short_supply_graph):
     # A certificate that misses a vertex, or holds a value for anything
-    # else, is refused before any check: the sum check would count the
-    # extra value, and a missing one would end in a KeyError.
+    # else, is refused by the verifier before any check and by the
+    # renderer before any line: the sum would count the extra value, and a
+    # missing one would end in a KeyError.
     g = short_supply_graph
     alpha = dual_assignment(g).alpha
-    with pytest.raises(ValueError, match=r"^certificate has no value for a1\.1$"):
-        verify_certificate(g, DualCertificate({}))
     partial = {u: value for u, value in alpha.items() if u != g.dummies[Side.A][0]}
-    with pytest.raises(ValueError, match=r"^certificate has no value for dummy\.A\.1$"):
-        verify_certificate(g, DualCertificate(partial))
-    with pytest.raises(
-        ValueError,
-        match=r"^certificate has values for 1 entries that are not vertices of the graph$",
-    ):
-        verify_certificate(g, DualCertificate({**alpha, "x": 5}))
+    report = verify_certificate(g, DualCertificate(alpha))
+
+    def render(g, cert):
+        return render_certificate_report(g, cert, report)
+
+    for use in (verify_certificate, render):
+        with pytest.raises(ValueError, match=r"^certificate has no value for a1\.1$"):
+            use(g, DualCertificate({}))
+        with pytest.raises(ValueError, match=r"^certificate has no value for dummy\.A\.1$"):
+            use(g, DualCertificate(partial))
+        with pytest.raises(
+            ValueError,
+            match=r"^certificate has values for 1 entries that are not vertices of the graph$",
+        ):
+            use(g, DualCertificate({**alpha, "x": 5}))
 
 
 def test_report_ok_is_pure_bookkeeping():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
@@ -144,6 +145,18 @@ def test_gen_to_stdout_then_solve(tmp_path, capsys):
     path = tmp_path / "gen.inst"
     path.write_text(text)
     assert main(["solve", str(path)]) == 0
+
+
+def test_gen_options_are_the_generator_parameters(capsys):
+    # GenParams states the parameters and their defaults once: gen with no
+    # options writes GenParams()'s instance, and its options are exactly the
+    # dataclass's fields and --out.
+    assert main(["gen"]) == 0
+    assert capsys.readouterr().out == serialize_instance(
+        generate_random_instance(GenParams())
+    )
+    options = set(vars(cli._build_parser().parse_args(["gen"]))) - {"subcommand", "func"}
+    assert options == {f.name for f in fields(GenParams)} | {"out"}
 
 
 @pytest.mark.parametrize(

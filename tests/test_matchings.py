@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from popcrit import (
     Correspondence,
     GenParams,
+    LeveledMatching,
     Matching,
     MatchingError,
     Quotas,
@@ -23,6 +24,7 @@ from popcrit import (
     blocking_pairs,
     build_cloned_graph,
     check_matching,
+    check_output_properties,
     deficiency,
     delta,
     enumerate_matchings,
@@ -134,6 +136,66 @@ def test_pairs_naming_unknown_vertices_raise_a_matching_error(short_supply):
 _NOT_A_PAIR = "matching pairs must be (A-vertex, B-vertex)"
 _A1, _A2 = VertexId(Side.A, 0), VertexId(Side.A, 1)
 _B1, _B2 = VertexId(Side.B, 0), VertexId(Side.B, 1)
+
+
+def _solved_with(inst, pair):
+    """The solver's leveled matching for inst with pair added at level 0."""
+    leveled, _ = solve(inst)
+    return dataclasses.replace(leveled, levels={**leveled.levels, pair: 0})
+
+
+# Each public function that takes a matching checks it first, so a bad
+# one raises MatchingError instead of a KeyError or IndexError, a bad
+# rendering, or a plain answer.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda inst: check_output_properties(inst, _solved_with(inst, (_B1, _A2))),
+            _NOT_A_PAIR,
+        ),
+        (
+            lambda inst: check_output_properties(inst, _solved_with(inst, (_A2, _B1))),
+            "b1 is matched above its upper quota 1",
+        ),
+        (
+            lambda inst: serialize_matching(inst, Matching(frozenset({(_B1, _A1)}))),
+            _NOT_A_PAIR,
+        ),
+        (
+            lambda inst: serialize_matching(
+                inst, Matching(frozenset({(_A1, VertexId(Side.B, 9))}))
+            ),
+            "(a1, unknown vertex B[9]) is not an edge of the instance",
+        ),
+        (
+            lambda inst: random_correspondence(
+                inst, _solved_with(inst, (_B1, _A2)).matching, Matching(frozenset()),
+                random.Random(0),
+            ),
+            _NOT_A_PAIR,
+        ),
+        (
+            lambda inst: random_correspondence(
+                inst, Matching(frozenset()), _solved_with(inst, (_A2, _B1)).matching,
+                random.Random(0),
+            ),
+            "b1 is matched above its upper quota 1",
+        ),
+    ],
+    ids=[
+        "properties_reversed_pair",
+        "properties_over_quota",
+        "serialize_reversed_pair",
+        "serialize_unknown_vertex",
+        "correspondence_reversed_pair",
+        "correspondence_over_quota",
+    ],
+)
+def test_functions_taking_a_matching_check_it_first(short_supply, call, message):
+    with pytest.raises(MatchingError) as excinfo:
+        call(short_supply)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
