@@ -3,9 +3,10 @@
 Many-to-many bipartite instances with strict preferences and lower/upper
 quotas on both sides.  ``solve`` produces a matching of minimum total
 deficiency that no other such matching defeats in pairwise voting, the
-certificate module proves that claim for a concrete run via linear
-programming duality on a cloned graph, and the oracle module brute-forces
-small instances for cross-checking.
+certificate module proves that claim, and that no such popular matching is
+larger, for a concrete run via linear programming duality on a cloned
+graph and potentials on a flow network, and the oracle module
+brute-forces small instances for cross-checking.
 
 ``import popcrit`` loads no submodule.  Each public name loads the
 submodule that defines it on first use, so a caller of ``solve`` loads

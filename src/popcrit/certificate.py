@@ -28,6 +28,23 @@ advantage at zero.  ``verify_certificate`` checks feasibility and the cap
 numerically, and ``map_matching_to_clones`` realizes the vote advantage
 of a concrete rival matching as a clone matching, tying the two views
 together edge by edge.
+
+Two more checks make the report prove the whole answer, whatever run
+produced it.  Potentials on the real vertices, computed by two
+alternating-path closures (``_potentials``) but checked arc by arc
+(``_potential_failures``), prove that the matching's deficiency is
+minimum, so that the rivals popularity is checked against are all the
+critical matchings.  And the size rule proves that no popular critical
+matching is larger (Cseh and Kavitha, "Popular edges and dominant
+matchings", IPCO 2016): let gamma be +1 on every clone not parked on a
+last-resort, -1 on every dummy and 0 elsewhere, so that gamma sums to
+twice the matching's size.  Then 2 alpha + gamma / 2 is a feasible dual
+for the weights 2 wt + [both ends are clones], under which the lift of a
+popular critical rival N weighs at least |N|, as soon as no alpha-tight
+edge joins a clone parked on a last-resort to a clone or a dummy: an edge
+of slack 1 or more has room for gamma's worst case.  The verifier reads
+a parked clone as a clone of alpha 0, and checks that every parked clone
+carries 0, so the rule runs per pair of classes in the block loop.
 """
 
 from __future__ import annotations
@@ -357,11 +374,40 @@ def build_cloned_graph(inst: Instance, leveled: LeveledMatching) -> ClonedGraph:
 
 @dataclass(frozen=True)
 class DualCertificate:
+    """The dual values of the cloned graph's vertices, ``alpha``, and the
+    criticality witness, a ``potential`` per real vertex."""
+
     alpha: Mapping[CloneId, int]
+    potential: Mapping[VertexId, int]
+
+
+def _potentials(inst: Instance, m: Matching) -> dict[VertexId, int]:
+    """The criticality witness of m: +1 on every vertex an alternating
+    path reaches from a deficient B vertex, leaving side B along unmatched
+    edges and side A along matched ones; -1 on every vertex reached the
+    same way from a deficient A vertex, with the roles of the sides
+    swapped; 0 elsewhere.  Where the two closures meet, m has an
+    augmenting path and no witness, and the -1 closure is written last."""
+    potential = dict.fromkeys(inst.all_vertices(), 0)
+    deficient = [v for v in potential if len(m.partners(v)) < inst.lower(v)]
+    for side, value in ((_SIDE_B, 1), (_SIDE_A, -1)):
+        stack = [v for v in deficient if v.side is side]
+        seen = set(stack)
+        while stack:
+            v = stack.pop()
+            potential[v] = value
+            held = m.partners(v)
+            step = [u for u in inst.pref(v) if u not in held] if v.side is side else held
+            for u in step:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return potential
 
 
 def dual_assignment(g: ClonedGraph) -> DualCertificate:
-    """The closed-form dual solution for the cloned graph.
+    """The closed-form dual solution for the cloned graph, with the
+    criticality witness of its matching (``_potentials``).
 
     A vertex in the A-side partition at level x gets 2(t - x) + 1 and its
     B-side mirror the negation, so lifted pairs cancel; last-resorts and
@@ -383,7 +429,7 @@ def dual_assignment(g: ClonedGraph) -> DualCertificate:
             raise ValueError(f"{g.clone_name(u)} sits outside the level range")
         value = 2 * (t - level) + 1
         alpha[u] = value if _left_of_bipartition(u) else -value
-    return DualCertificate(alpha)
+    return DualCertificate(alpha, _potentials(g.inst, g.leveled.matching))
 
 
 @dataclass(frozen=True)
@@ -403,17 +449,27 @@ class CertificateReport:
 # The checks of ``verify_certificate``, in the order its report lists them.
 _CHECKS = (
     "edge_inequalities", "last_resorts_nonnegative", "zero_sum", "no_steep_downward",
-    "matched_edges_tight", "weights_in_range", "level_weight_bounds",
+    "matched_edges_tight", "weights_in_range", "level_weight_bounds", "critical",
+    "largest_size",
 )
 
 
+def _zero_clone(u: CloneId, alpha_u: int, w: CloneId, alpha_w: int) -> bool:
+    """Whether the edge (u, w) joins a clone of alpha 0 to a clone or a
+    dummy, the edges the size rule reads."""
+    if u.kind is _LAST_RESORT or w.kind is _LAST_RESORT:
+        return False
+    return (u.kind is _CLONE and alpha_u == 0) or (w.kind is _CLONE and alpha_w == 0)
+
+
 def _pair_failures(
-    alpha_sum: int, wt: int, x: int, y: int, true_edge: bool
+    alpha_sum: int, wt: int, x: int, y: int, true_edge: bool, zero_clone: bool
 ) -> Iterator[tuple[str, str]]:
     """The edge checks of ``verify_certificate`` that a pair fails, in the
     order they run, each with its message, in which ``{}`` stands for the
     pair.  A pair is read only through its ends' alpha sum, its weight, the
-    levels x and y of its ends and whether it is a true edge."""
+    levels x and y of its ends, whether it is a true edge and whether it
+    joins a clone of alpha 0 to a clone or a dummy."""
     if alpha_sum < wt:
         yield "edge_inequalities", f"{{}} has alpha sum {alpha_sum} < weight {wt}"
     if not -2 <= wt <= 2:
@@ -426,31 +482,87 @@ def _pair_failures(
         )
     if x == y and true_edge and wt > 0:
         yield "level_weight_bounds", f"same-level true edge {{}} weighs {wt} > 0"
+    if zero_clone and alpha_sum == wt:
+        yield "largest_size", "tight edge {} joins a clone of alpha 0 to a clone or a dummy"
 
 
-def _check_coverage(g: ClonedGraph, alpha: Mapping[CloneId, int]) -> None:
-    """Raise ValueError unless alpha holds a value for exactly the vertices
-    of g."""
-    for u in g.vertices:
-        if u not in alpha:
-            raise ValueError(f"certificate has no value for {g.clone_name(u)}")
-    if len(alpha) != len(g.vertices):
-        raise ValueError(
-            f"certificate has values for {len(alpha) - len(g.vertices)} entries "
-            "that are not vertices of the graph"
-        )
+def _check_coverage(g: ClonedGraph, cert: DualCertificate) -> None:
+    """Raise ValueError unless the certificate holds a value for exactly
+    the vertices of g and a potential for exactly the real vertices."""
+    for values, vertices, name, what in (
+        (cert.alpha, g.vertices, g.clone_name, "values"),
+        (cert.potential, tuple(g.inst.all_vertices()), g.inst.name, "potentials"),
+    ):
+        for u in vertices:
+            if u not in values:
+                raise ValueError(f"certificate has no {what[:-1]} for {name(u)}")
+        if len(values) != len(vertices):
+            raise ValueError(
+                f"certificate has {what} for {len(values) - len(vertices)} entries "
+                "that are not vertices of the graph"
+            )
+
+
+def _potential_failures(
+    inst: Instance, m: Matching, potential: Mapping[VertexId, int]
+) -> Iterator[str]:
+    """Where the potentials fail to witness that m has minimum deficiency.
+
+    m induces a flow in the network of S -> a, a -> b and b -> T arcs,
+    where a vertex's arc from or to its terminal carries its lower quota at
+    cost -1 and the rest of its upper quota at cost 0, filled in that
+    order, and each matched edge carries one unit.  Its cost is minus the
+    lower quota m fills, so m has minimum deficiency exactly when the flow
+    has minimum cost, which holds exactly when some potentials, 0 on S and
+    T, leave no residual arc a negative reduced cost (Ahuja, Magnanti and
+    Orlin, Network Flows, ch. 9).  Read in the flow's direction, as q =
+    pi(a) on side A and q = -pi(b) on side B, a vertex's potential
+    must satisfy one bound per residual arc at its terminal: q <= -1 if it
+    is deficient, q >= -1 if it holds some of its lower quota, q <= 0 if
+    it has room and q >= 0 if it holds a surplus.  An edge needs pi(b) >=
+    pi(a) if matched, pi(a) >= pi(b) if not.  The failures come vertex by
+    vertex, then edge by edge in A's preference order.
+    """
+    for v in inst.all_vertices():
+        lower, upper = inst.quotas(v)
+        held = len(m.partners(v))
+        pi = potential[v]
+        q = pi if v.side is _SIDE_A else -pi
+        for present, reduced, state in (
+            (held < lower, -1 - q, "is deficient"),
+            (0 < held and 0 < lower, 1 + q, "holds some of its lower quota"),
+            (held < upper, -q, "has room"),
+            (held > lower, q, "holds a surplus"),
+        ):
+            if present and reduced < 0:
+                yield f"{inst.name(v)} {state} but has potential {pi}"
+    # Only an edge whose ends' potentials differ can fail.
+    if len(set(potential.values())) < 2:
+        return
+    for a in inst.vertices(_SIDE_A):
+        pa, held = potential[a], m.partners(a)
+        for b in inst.pref(a):
+            pb = potential[b]
+            if pa != pb and (b in held) is (pa > pb):
+                kind, order = ("matched", ">") if pa > pb else ("unmatched", "<")
+                edge = f"({inst.name(a)}, {inst.name(b)})"
+                yield f"{kind} edge {edge} has potentials {pa} {order} {pb}"
 
 
 def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateReport:
-    """Numerically verify that the dual certificate proves popularity.
+    """Numerically verify that the certificate proves the matching
+    critical, popular among critical matchings and largest among those.
 
     Checks, each reported separately: every edge inequality alpha_u +
     alpha_w >= wt holds; last-resorts carry nonnegative values; the values
     sum to zero; no edge drops more than one level from the A-side
     partition to the B-side; lifted matching edges are tight at weight 0;
     all weights lie in [-2, 2]; true edges within one level weigh <= 0 on
-    the same level and exactly -2 one level down.  The weights are the ones
-    ``g.edges`` gives.
+    the same level and exactly -2 one level down; the potentials witness
+    minimum deficiency (``critical``, see ``_potential_failures``); no
+    tight edge joins a clone of alpha 0 to a clone or a dummy, and every
+    clone parked on a last-resort carries 0 (``largest_size``).  The
+    weights are the ones ``g.edges`` gives.
 
     Every edge but the lifted clone–clone pairs lies in one block
     (``CloneEdges.blocks``): two sides, each offered one rank.  An edge
@@ -472,15 +584,18 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
 
     The lifted pairs are checked in one walk over the lift: each lifted
     clone–clone pair, a true edge of weight 0, gets the checks of
-    ``_pair_failures``, and then every lifted pair is checked for
-    tightness.  The failures name the same edges, in the same order, as a
-    check of every pair would.
+    ``_pair_failures``, then every lifted pair is checked for tightness,
+    and a pair of a clone and a last-resort for the clone's 0.  The
+    failures name the same edges, in the same order, as a check of every
+    pair would.  The criticality failures come last, vertex by vertex and
+    then edge by edge.
 
     Raises ValueError, before any check, when the certificate lacks a
-    value for a vertex of the graph or holds values for other entries.
+    value for a vertex of the graph or a potential for a real vertex, or
+    holds either for other entries.
     """
     alpha, level = cert.alpha, g.level
-    _check_coverage(g, alpha)
+    _check_coverage(g, cert)
     # Failures on edges are reported in edge order.  Only they are sorted,
     # and stably, so each edge keeps its checks in the order they ran:
     # tightness, checked last on each lifted pair, comes last.
@@ -525,9 +640,12 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
         rights = list(classes(right, right_offer))
         for alpha_u, f, x, us, i, j in classes(left, left_offer):
             for alpha_w, h, y, ws, k, n in rights:
-                # Only a real edge's block offers real ranks.
+                # Only a real edge's block offers real ranks, and a class's
+                # members are all of one kind.
                 for failure in _pair_failures(
-                    alpha_u + alpha_w, f + h, x, y, left_offer < _UNRANKED
+                    alpha_u + alpha_w, f + h, x, y, left_offer < _UNRANKED,
+                    (alpha_u == 0 or alpha_w == 0)
+                    and _zero_clone(us[i], alpha_u, ws[k], alpha_w),
                 ):
                     for u, w in product(us[i:j], ws[k:n]):
                         flag(u, w, *failure)
@@ -536,11 +654,21 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
             alpha_sum = alpha[u] + alpha[w]
             # A lifted clone–clone pair lies in no block, and weighs 0.
             if u.kind is w.kind:
-                for failure in _pair_failures(alpha_sum, 0, level[u], level[w], True):
+                for failure in _pair_failures(
+                    alpha_sum, 0, level[u], level[w], True,
+                    _zero_clone(u, alpha[u], w, alpha[w]),
+                ):
                     flag(u, w, *failure)
             if alpha_sum != 0:
                 message = f"lifted edge {{}} is not tight: {alpha_sum} != 0"
                 flag(u, w, "matched_edges_tight", message)
+            # The size rule takes a clone parked on a last-resort for one
+            # of alpha 0.
+            if u.kind is _LAST_RESORT or w.kind is _LAST_RESORT:
+                parked = w if u.kind is _LAST_RESORT else u
+                if alpha[parked] != 0:
+                    message = f"{{}} parks a clone of alpha {alpha[parked]} != 0"
+                    flag(u, w, "largest_size", message)
     edge_failures.sort(key=lambda failure: failure[0])
     # Each failure once, as (check, message), in the order it is reported.
     failures = [(check, message) for _, check, message in edge_failures]
@@ -554,6 +682,10 @@ def verify_certificate(g: ClonedGraph, cert: DualCertificate) -> CertificateRepo
     total = sum(alpha.values())
     if total != 0:
         failures.append(("zero_sum", f"alpha values sum to {total}"))
+    failures += [
+        ("critical", message)
+        for message in _potential_failures(g.inst, g.leveled.matching, cert.potential)
+    ]
 
     failed = {check for check, _ in failures}
     return CertificateReport(
@@ -566,8 +698,9 @@ def render_certificate_report(
     g: ClonedGraph, cert: DualCertificate, report: CertificateReport
 ) -> str:
     """One line per vertex of the cloned graph (its name as ``clone_name``
-    gives it, partition side, level, dual value), then the value sum, then
-    the verdict.
+    gives it, partition side, level, dual value), then one line per real
+    vertex, ``POTENTIAL``, its name and its potential, in declaration
+    order, A side first, then the value sum, then the verdict.
 
     The vertex lines come in the graph's own tables' order: the clones of
     ``g.clones_of``, A side first, each owner in index order and its clones
@@ -582,7 +715,7 @@ def render_certificate_report(
     entries.
     """
     alpha, level = cert.alpha, g.level
-    _check_coverage(g, alpha)
+    _check_coverage(g, cert)
     lines = []
     # Each group, a vertex's clones or last-resorts or a side's dummies,
     # shares its name stem and its partition side.
@@ -591,6 +724,8 @@ def render_certificate_report(
             stem = g._name_stem(group[0])
             side = (_SIDE_A if _left_of_bipartition(group[0]) else _SIDE_B).value
             lines += [f"{stem}.{u.ordinal} {side} {level[u]} {alpha[u]}" for u in group]
+    inst, potential = g.inst, cert.potential
+    lines += [f"POTENTIAL {inst.name(v)} {potential[v]}" for v in inst.all_vertices()]
     lines.append(f"SUM {sum(alpha.values())}")
     if report.ok:
         lines.append("VERDICT PASS")

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands cover the whole pipeline: ``solve`` runs the proposal
-algorithm (optionally writing the proposal trace and the popularity
-certificate), ``verify`` audits a matching file against an instance,
-``oracle`` compares the solver against exhaustive enumeration, ``gen``
-writes a random instance and ``trace`` replays a recorded proposal trace.
+algorithm on short level ranges first and keeps the first round its
+certificate proves (``_solve_rounds``), optionally writing that round's
+proposal trace and certificate, ``verify`` audits a matching file against
+an instance, ``oracle`` compares the solver at the paper's range against
+exhaustive enumeration, ``gen`` writes a random instance and ``trace``
+runs the rounds of ``solve`` again and replays a recorded proposal trace
+against the kept one.
 
 Exit codes: 0 on success, 1 for any parse, validation or usage error and
 when memory runs out, 2 when a verification disagrees (certificate FAIL,
@@ -24,6 +27,9 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .certificate import (
+    CertificateReport,
+    ClonedGraph,
+    DualCertificate,
     build_cloned_graph,
     dual_assignment,
     render_certificate_report,
@@ -38,13 +44,16 @@ from .matchings import (
 from .model import (
     GenParams,
     Instance,
+    Side,
     generate_random_instance,
     parse_instance,
     serialize_instance,
     validate_instance,  # unused here, but bench/worker.py wraps cli.validate_instance
 )
 from .oracle import DEFAULT_EDGE_BUDGET, oracle_solve
-from .solver import _csv_blocks, _trace_rows, solve, trace_to_csv
+from .solver import LeveledMatching, Trace, _csv_blocks, _trace_rows, solve, trace_to_csv
+
+_Proof = tuple[ClonedGraph, DualCertificate, CertificateReport]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,9 +69,41 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(Path(path).read_text())
 
 
+def _prove(inst: Instance, leveled: LeveledMatching) -> _Proof:
+    """The cloned graph of a run, its certificate and the certificate's
+    report."""
+    g = build_cloned_graph(inst, leveled)
+    cert = dual_assignment(g)
+    return g, cert, verify_certificate(g, cert)
+
+
+def _solve_rounds(inst: Instance) -> tuple[LeveledMatching, Trace, Optional[_Proof]]:
+    """Solve inst on short level ranges first, and keep the first round
+    whose certificate passes.
+
+    Runs ``solve`` with caps 2, 4, 8, ... while the cap is below the
+    paper's range, max(s, t), and keeps the first round whose certificate
+    passes, with its proof: the report then proves the answer critical,
+    popular among critical matchings and largest among those.  Otherwise it
+    ends with the paper's range, whose answer the paper guarantees, and
+    keeps that round whatever its certificate says, with no proof yet.
+    The kept round is always the last ``solve`` call.  The calls go
+    through this module's names, and pass the cap by keyword, as the
+    benchmark's timing wrappers of those names expect."""
+    cap = 2
+    while cap < max(inst.sum_lower(Side.A), inst.sum_lower(Side.B)):
+        leveled, trace = solve(inst, cap=cap)
+        proof = _prove(inst, leveled)
+        if proof[2].ok:
+            return leveled, trace, proof
+        cap *= 2
+    leveled, trace = solve(inst)
+    return leveled, trace, None
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    leveled, trace = solve(inst)
+    leveled, trace, proof = _solve_rounds(inst)
     m = leveled.matching
     d = deficiency(inst, m)
     sys.stdout.write(serialize_matching(inst, m))
@@ -72,9 +113,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.emit_trace:
         Path(args.emit_trace).write_text(trace_to_csv(trace))
     if args.emit_certificate:
-        g = build_cloned_graph(inst, leveled)
-        cert = dual_assignment(g)
-        report = verify_certificate(g, cert)
+        g, cert, report = proof or _prove(inst, leveled)
         Path(args.emit_certificate).write_text(
             render_certificate_report(g, cert, report)
         )
@@ -144,9 +183,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _fresh_rows(inst: Instance) -> Iterator[list[str]]:
-    """The rows of a fresh trace of inst, read back one block at a time.
-    inst is solved when the first row is asked for."""
-    blocks = _csv_blocks(solve(inst)[1])
+    """The rows of the fresh trace of the round ``popcrit solve`` keeps,
+    read back one block at a time.  inst is solved when the first row is
+    asked for."""
+    blocks = _csv_blocks(_solve_rounds(inst)[1])
     yield from _trace_rows(line for block in blocks for line in io.StringIO(block))
 
 

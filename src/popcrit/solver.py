@@ -1,7 +1,8 @@
 """Level-based proposal algorithm for popular critical matchings.
 
 Vertices on side A propose in rounds, carrying a level from 0 up to
-top = s + t + 1 where s and t are the total lower quotas of sides A and B.  A
+top = s + t + 1 where s and t are the total lower quotas of sides A and B,
+or those totals capped at ``cap`` in a shortened run (see ``solve``).  A
 receiver always prefers a higher-level proposer regardless of its own
 preference order; ties in level fall back to the order.  Below level t a
 proposer only approaches lower-quota receivers and a receiver caps itself
@@ -14,9 +15,11 @@ lower quota.
 
 ``solve`` runs the algorithm with a FIFO queue seeded in A-declaration
 order.  It is the one place that derives the level range from the
-quotas: the run carries it, as ``LeveledMatching.t`` and
+quotas and the cap: the run carries it, as ``LeveledMatching.t`` and
 ``LeveledMatching.top`` and as ``Trace.t``, and the trace renderer, the
-property check and the certificate read it from there.  It works on
+property check and the certificate read it from there.  The paper's
+guarantees hold at the paper's range; ``popcrit solve`` runs short ranges
+first and keeps the first answer its certificate proves.  It works on
 plain int vertex indices: it builds per-side quota,
 preference and rank tables once per call and keeps a per-receiver count of
 partners below level t, so each proposal costs O(1) apart from choosing
@@ -80,8 +83,9 @@ class LeveledMatching:
     """The level at which each matched edge was formed and the highest
     level each A-vertex reached during the run; the matching is the set of
     leveled edges.  ``t`` and ``top`` are the run's level range: t, the
-    total lower quota of side B, is where the sub-t race ends, and top =
-    s + t + 1 is the highest level a proposer can reach."""
+    total lower quota of side B or that total capped, is where the sub-t
+    race ends, and top = s + t + 1, with s side A's total, capped alike,
+    is the highest level a proposer can reach."""
 
     levels: Mapping[Edge, int]
     max_level: Mapping[VertexId, int]
@@ -108,7 +112,8 @@ class Trace:
     ``record``, in the order they were made.  ``record`` is a read-only
     ``memoryview`` of format ``q``; it indexes, slices and iterates like a
     flat sequence of ints, but cannot be pickled.  ``t`` is the run's
-    ``LeveledMatching.t``, which sets each row's ``c_a``."""
+    ``LeveledMatching.t``, the capped one in a shortened run, which sets
+    each row's ``c_a``."""
 
     inst: Instance
     record: memoryview
@@ -133,13 +138,18 @@ class Trace:
         )
 
 
-def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
+def solve(inst: Instance, cap: Optional[int] = None) -> tuple[LeveledMatching, Trace]:
     """Run the proposal algorithm and return its matching with the trace.
 
-    The output deficiency is minimum over all matchings and the matching is
+    The level range is the paper's, s and t the total lower quotas of sides
+    A and B, unless ``cap`` shortens it to s' = min(s, cap) and t' =
+    min(t, cap); the run carries the range it used.  At the paper's range
+    the output deficiency is minimum over all matchings and the matching is
     popular among, and largest among popular ones within, the minimum
-    deficiency matchings.  The number of proposals is bounded by
-    (top + 1) * |E|, top = s + t + 1 being the highest level.
+    deficiency matchings.  A capped run is the same algorithm on fewer
+    levels, and carries no such guarantee: its certificate must prove it.
+    The number of proposals is bounded by (top + 1) * |E|, top = s' + t' +
+    1 being the highest level.  Raises ValueError for a negative cap.
     """
     a_names, b_names = inst.a_names, inst.b_names
     n_a, n_b = len(a_names), len(b_names)
@@ -151,6 +161,10 @@ def solve(inst: Instance) -> tuple[LeveledMatching, Trace]:
     a_pref_lq = [tuple(b for b in p if b_lower[b] > 0) for p in a_pref]
     b_rank = [{a.index: r for r, a in enumerate(p)} for p in inst.b_prefs]
     s, t = sum(a_lower), sum(b_lower)
+    if cap is not None:
+        if cap < 0:
+            raise ValueError("cap must be at least 0")
+        s, t = min(s, cap), min(t, cap)
     top = s + t + 1
     budget = (top + 1) * len(inst.edges)
 

@@ -312,10 +312,11 @@ def test_10_lift_is_heaviest_at_scale_and_declaration_order_is_free():
     # Lowering the first dummy of each side breaks the edges of its
     # clone–dummy blocks, the sum and the dummies' lifted pairs; the
     # verifier names the same failures as a check of every pair.
-    alpha = dict(dual_assignment(g).alpha)
+    cert = dual_assignment(g)
+    alpha = dict(cert.alpha)
     for side in (Side.A, Side.B):
         alpha[g.dummies[side][0]] -= 1
-    cert = DualCertificate(alpha)
+    cert = DualCertificate(alpha, cert.potential)
     report = verify_certificate(g, cert)
     assert report == reference_verify(g, cert)
     assert len(report.failures) == 165
@@ -335,6 +336,37 @@ def test_11_side_swapped_copies_solve_alike(solved):
         back = _swapped_back(inst, swapped, n)
         assert max_delta(inst, m, back) <= 0
         assert max_delta(inst, back, m) <= 0
+
+
+def test_12_the_criticality_witness_agrees_with_the_flow(suite):
+    # The certificate's potentials prove minimum deficiency exactly when
+    # the min-cost flow finds it: on the paper's answers, which are all
+    # critical, and on the answers of caps 0 and 1, many of which are not.
+    refused = 0
+    for inst in suite:
+        least = min_deficiency(inst)
+        for cap in (0, 1, None):
+            leveled, _ = solve(inst, cap=cap)
+            g = build_cloned_graph(inst, leveled)
+            report = verify_certificate(g, dual_assignment(g))
+            critical = deficiency(inst, leveled.matching).total == least
+            assert ("critical" not in report.failed_checks) is critical
+            refused += not critical
+    assert refused == 78
+
+    # So at n = 400, on the instance of test_10 that stays short on both
+    # sides: minimum deficiency 162, which caps 0 and 1 miss by 49 and 10.
+    inst = generate_random_instance(
+        GenParams(n_a=400, n_b=400, edge_density=3 / 400, max_upper=3, lq_fraction=1.0, seed=1)
+    )
+    least = min_deficiency(inst)
+    assert least == 162
+    for cap, total in ((0, 211), (1, 172), (2, 162)):
+        leveled, _ = solve(inst, cap=cap)
+        g = build_cloned_graph(inst, leveled)
+        report = verify_certificate(g, dual_assignment(g))
+        assert deficiency(inst, leveled.matching).total == total
+        assert ("critical" not in report.failed_checks) is (total == least)
 
 
 def _swapped(inst):

@@ -19,6 +19,7 @@ from popcrit import (
     DualCertificate,
     GenParams,
     Instance,
+    LeveledMatching,
     Side,
     VertexId,
     build_cloned_graph,
@@ -104,11 +105,11 @@ def _pipeline_outputs(inst):
     g = build_cloned_graph(inst, leveled)
     cert = dual_assignment(g)
     first = g.vertices[0]
-    skewed = DualCertificate({**cert.alpha, first: cert.alpha[first] - 1})
+    skewed = dataclasses.replace(cert, alpha={**cert.alpha, first: cert.alpha[first] - 1})
     outputs = [trace_to_csv(trace), check_output_properties(inst, leveled)]
     for dual in (cert, skewed):
         report = verify_certificate(g, dual)
-        outputs += [dual.alpha, report, render_certificate_report(g, dual, report)]
+        outputs += [dual, report, render_certificate_report(g, dual, report)]
     return outputs
 
 
@@ -440,21 +441,21 @@ def _wide_instance(seed):
     return parse_instance("\n".join(lines) + "\n")
 
 
-def _tamper_lifted_pair(g, alpha):
+def _tamper_lifted_pair(g, cert):
     """The first lifted clone–clone pair (u, w), with u's alpha lowered by 1
-    and u's level raised by 2, in copies of alpha and of g: the pair then
+    and u's level raised by 2, in copies of cert and of g: the pair then
     has alpha sum -1 against its weight 0 and drops two levels."""
     u, w = min(_lifted_clone_pairs(g))
-    alpha = dict(alpha)
+    alpha = dict(cert.alpha)
     alpha[u] -= 1
     level = dict(g.level)
     level[u] += 2
-    return (u, w), dataclasses.replace(g, level=level), DualCertificate(alpha)
+    return (u, w), dataclasses.replace(g, level=level), dataclasses.replace(cert, alpha=alpha)
 
 
 def test_a_tampered_lifted_pair_fails_on_the_lift(deficient_graph):
     g = deficient_graph
-    (u, w), g, cert = _tamper_lifted_pair(g, dual_assignment(g).alpha)
+    (u, w), g, cert = _tamper_lifted_pair(g, dual_assignment(g))
     report = verify_certificate(g, cert)
     assert report == reference_verify(g, cert)
     name = f"({g.clone_name(u)}, {g.clone_name(w)})"
@@ -471,9 +472,11 @@ def test_a_tampered_lifted_pair_fails_on_the_lift(deficient_graph):
 
 # sha256 of the certificate report of _wide_instance(0), and of the
 # failures, one per line, of a fixed tampering of its certificate, both
-# recorded while every lifted pair was still a block of its own.  Unlike
-# short_supply_cert.txt, they pin vertices of high quota.
-WIDE_REPORT_DIGEST = "cda01827db69c4bd2444c982d2e59f0890ea925348c5d6149bd9047314c445c8"
+# recorded while every lifted pair was still a block of its own; the report
+# was pinned again when it gained its POTENTIAL lines, and without them it
+# still hashes to cda01827….  Unlike short_supply_cert.txt, they pin
+# vertices of high quota.
+WIDE_REPORT_DIGEST = "5307703e3d6146486df061b00f59fe24ab6e6136519d66c4930a16369c43354f"
 WIDE_TAMPERED_FAILURES_DIGEST = "2964a96eeb1ed89a8cc52d02b5f06f08297bef27a81f3c2491ca263917bf5a9f"
 
 
@@ -487,12 +490,12 @@ def test_wide_report_and_tampered_failures_match_pinned_digests():
     # Besides the lifted pair, a last-resort goes negative and the last B
     # clone drops a level, so that clone–clone and clone–last-resort blocks
     # fail too.
-    _, g, tampered = _tamper_lifted_pair(g, cert.alpha)
+    _, g, tampered = _tamper_lifted_pair(g, cert)
     alpha, level = dict(tampered.alpha), dict(g.level)
     alpha[next(u for u in g.vertices if u.kind is CloneKind.LAST_RESORT)] -= 1
     level[g.clones_of[VertexId(Side.B, len(inst.b_names) - 1)][-1]] -= 1
     g = dataclasses.replace(g, level=level)
-    failures = verify_certificate(g, DualCertificate(alpha)).failures
+    failures = verify_certificate(g, dataclasses.replace(tampered, alpha=alpha)).failures
     digest = hashlib.sha256("\n".join(failures).encode()).hexdigest()
     assert digest == WIDE_TAMPERED_FAILURES_DIGEST
 
@@ -623,13 +626,18 @@ def test_verification_passes_on_reference_instances(short_supply_graph, capacity
             "matched_edges_tight": True,
             "weights_in_range": True,
             "level_weight_bounds": True,
+            "critical": True,
+            "largest_size": True,
         }
 
 
-def test_rendered_report_matches_golden_file(short_supply_graph):
-    cert = dual_assignment(short_supply_graph)
-    report = verify_certificate(short_supply_graph, cert)
-    text = render_certificate_report(short_supply_graph, cert, report)
+def test_rendered_report_matches_golden_file(short_supply):
+    # The golden file is what `popcrit solve` writes: the round at cap 2,
+    # the first one its certificate proves.
+    g = build_cloned_graph(short_supply, solve(short_supply, cap=2)[0])
+    cert = dual_assignment(g)
+    report = verify_certificate(g, cert)
+    text = render_certificate_report(g, cert, report)
     assert text == (DATA / "short_supply_cert.txt").read_text()
 
 
@@ -651,7 +659,7 @@ def test_report_lists_vertices_in_sorted_order(high_quota_graph, deficient_graph
         cert = dual_assignment(g)
         skewed = dict(cert.alpha)
         skewed[g.vertices[0]] -= 1
-        for dual in (cert, DualCertificate(skewed)):
+        for dual in (cert, dataclasses.replace(cert, alpha=skewed)):
             report = verify_certificate(g, dual)
             assert report.ok is (dual is cert)
             text = render_certificate_report(g, dual, report)
@@ -699,6 +707,7 @@ def test_tampered_duals_are_caught(short_supply_graph, capacity_switch_graph):
         "edge_inequalities: (a3.1, b2.2) has alpha sum 0 < weight 2",
         "edge_inequalities: (a3.1, lr.a3.1) has alpha sum -3 < weight 0",
         "matched_edges_tight: lifted edge (a3.1, lr.a3.1) is not tight: -3 != 0",
+        "largest_size: (a3.1, lr.a3.1) parks a clone of alpha -3 != 0",
         "zero_sum: alpha values sum to -3",
     )
 
@@ -709,23 +718,153 @@ def test_a_certificate_must_cover_exactly_the_graph(short_supply_graph):
     # renderer before any line: the sum would count the extra value, and a
     # missing one would end in a KeyError.
     g = short_supply_graph
-    alpha = dual_assignment(g).alpha
+    alpha, potential = dataclasses.astuple(dual_assignment(g))
     partial = {u: value for u, value in alpha.items() if u != g.dummies[Side.A][0]}
-    report = verify_certificate(g, DualCertificate(alpha))
+    no_b2 = {v: value for v, value in potential.items() if g.inst.name(v) != "b2"}
+    report = verify_certificate(g, DualCertificate(alpha, potential))
 
     def render(g, cert):
         return render_certificate_report(g, cert, report)
 
     for use in (verify_certificate, render):
         with pytest.raises(ValueError, match=r"^certificate has no value for a1\.1$"):
-            use(g, DualCertificate({}))
+            use(g, DualCertificate({}, potential))
         with pytest.raises(ValueError, match=r"^certificate has no value for dummy\.A\.1$"):
-            use(g, DualCertificate(partial))
+            use(g, DualCertificate(partial, potential))
         with pytest.raises(
             ValueError,
             match=r"^certificate has values for 1 entries that are not vertices of the graph$",
         ):
-            use(g, DualCertificate({**alpha, "x": 5}))
+            use(g, DualCertificate({**alpha, "x": 5}, potential))
+        with pytest.raises(ValueError, match=r"^certificate has no potential for a1$"):
+            use(g, DualCertificate(alpha, {}))
+        with pytest.raises(ValueError, match=r"^certificate has no potential for b2$"):
+            use(g, DualCertificate(alpha, no_b2))
+        with pytest.raises(
+            ValueError,
+            match=r"^certificate has potentials for 1 entries that are not vertices of the graph$",
+        ):
+            use(g, DualCertificate(alpha, {**potential, "x": 0}))
+
+
+# ----------------------------------------------- criticality and largest size
+
+
+def _named_potentials(g, cert):
+    return {g.inst.name(v): value for v, value in cert.potential.items()}
+
+
+def test_potentials_by_hand(short_supply_graph, capacity_switch_graph):
+    # In short_supply a2 holds one partner of its lower quota 2.  The
+    # alternating paths from it reach every vertex: a2 -> b1 unmatched,
+    # b1 -> a1 matched, a1 -> b2 unmatched, b2 -> a2 and a3 matched.
+    cert = dual_assignment(short_supply_graph)
+    assert _named_potentials(short_supply_graph, cert) == dict.fromkeys(
+        ["a1", "a2", "a3", "b1", "b2"], -1
+    )
+    # capacity_switch has minimum deficiency 0: no vertex is deficient.
+    cert = dual_assignment(capacity_switch_graph)
+    assert set(cert.potential.values()) == {0}
+
+
+def test_tampered_potentials_are_caught(
+    short_supply_graph, capacity_switch_graph, deficient_graph
+):
+    g = short_supply_graph
+    cert = dual_assignment(g)
+    a2 = VertexId(Side.A, 1)
+    report = verify_certificate(g, dataclasses.replace(cert, potential={**cert.potential, a2: 0}))
+    assert report.failures == (
+        "critical: a2 is deficient but has potential 0",
+        "critical: matched edge (a2, b2) has potentials 0 > -1",
+    )
+    assert report.failed_checks == ("critical",)
+    assert render_certificate_report(g, cert, report).endswith("VERDICT FAIL critical\n")
+
+    # Moving one potential by one either way, on every vertex: the verifier
+    # agrees with the arc-by-arc reference, and some moves break the witness.
+    broken = 0
+    for g in (short_supply_graph, capacity_switch_graph, deficient_graph):
+        cert = dual_assignment(g)
+        for v in g.inst.all_vertices():
+            for move in (-1, 1):
+                moved = {**cert.potential, v: cert.potential[v] + move}
+                tampered = dataclasses.replace(cert, potential=moved)
+                report = verify_certificate(g, tampered)
+                assert report == reference_verify(g, tampered)
+                assert set(report.failed_checks) <= {"critical"}
+                broken += not report.ok
+    assert broken > 20
+
+
+def test_a_non_critical_matching_fails_only_the_criticality_check():
+    # a2 must hold 3 partners and holds none, and b1 takes a1, whose lower
+    # quota is 0.  Giving b1 to a2 instead lowers the deficiency from 3 to 2,
+    # so the matching is not critical: the path from a2 reaches a1, which
+    # holds a surplus.  With t = 0 and top = 1, the run of a cap of 0, the
+    # dual values still pass every check of popularity.
+    inst = parse_instance(
+        "A a1 0 1\nA a2 3 3\nB b1 0 1\nPREF a1 b1\nPREF a2 b1\nPREF b1 a1 a2\n"
+    )
+    a1, a2, b1 = VertexId(Side.A, 0), VertexId(Side.A, 1), VertexId(Side.B, 0)
+    planted = LeveledMatching(levels={(a1, b1): 1}, max_level={a1: 1, a2: 1}, t=0, top=1)
+    assert solve(inst, cap=0)[0] == planted
+    g = build_cloned_graph(inst, planted)
+    cert = dual_assignment(g)
+    report = verify_certificate(g, cert)
+    assert report.failures == ("critical: a1 holds a surplus but has potential -1",)
+    assert report == reference_verify(g, cert)
+    assert _named_potentials(g, cert) == {"a1": -1, "a2": -1, "b1": -1}
+
+
+def test_dropping_a_matched_edge_breaks_the_witness_and_the_edge(short_supply):
+    # Dropping (a3, b2) leaves a3 short of its lower quota, and the path
+    # from a3 reaches b2, which has room again.  The dropped edge then joins
+    # two clones that both gain by it, so it weighs 2, while the freed
+    # clones carry at most 0 between them: no dual values from the levels
+    # pass it, so criticality never fails alone this way.
+    leveled, _ = solve(short_supply)
+    a3, b2 = VertexId(Side.A, 2), VertexId(Side.B, 1)
+    levels = {e: x for e, x in leveled.levels.items() if e != (a3, b2)}
+    g = build_cloned_graph(short_supply, dataclasses.replace(leveled, levels=levels))
+    cert = dual_assignment(g)
+    report = verify_certificate(g, cert)
+    assert report == reference_verify(g, cert)
+    assert "critical: b2 has room but has potential -1" in report.failures
+    assert "edge_inequalities: (a3.1, b2.1) has alpha sum 0 < weight 2" in report.failures
+
+
+def test_a_tight_edge_to_a_parked_clone_fails_only_the_size_rule():
+    # b1.1 is parked on b1's last-resort, at alpha 0.  Moving a unit of
+    # alpha from a2.1 to its lifted partner b2.1 keeps every check of
+    # popularity, but makes the edge (a2.1, b1.1), of weight 2, tight:
+    # b1 could then take a2 in a larger popular critical matching.
+    inst = parse_instance(
+        "A a1 1 1\nA a2 1 1\nB b1 0 1\nB b2 1 1\n"
+        "PREF a1\nPREF a2 b1 b2\nPREF b1 a2\nPREF b2 a2\n"
+    )
+    g = build_cloned_graph(inst, solve(inst)[0])
+    cert = dual_assignment(g)
+    assert verify_certificate(g, cert).ok
+    a2_1, b2_1 = _clone(Side.A, 1, 1), _clone(Side.B, 1, 1)
+    assert g.mstar[a2_1] == b2_1
+    assert g.mstar[_clone(Side.B, 0, 1)] == _resort(Side.B, 0, 1)
+    alpha = {**cert.alpha, a2_1: cert.alpha[a2_1] - 1, b2_1: cert.alpha[b2_1] + 1}
+    tampered = dataclasses.replace(cert, alpha=alpha)
+    report = verify_certificate(g, tampered)
+    assert report.failures == (
+        "largest_size: tight edge (a2.1, b1.1) joins a clone of alpha 0 to a clone or a dummy",
+    )
+    assert report == reference_verify(g, tampered)
+
+    # A clone parked on a last-resort must itself carry 0: moving a unit
+    # between b1.1 and its last-resort keeps the pair tight.
+    b1_1, lr = _clone(Side.B, 0, 1), _resort(Side.B, 0, 1)
+    alpha = {**cert.alpha, b1_1: -1, lr: 1}
+    tampered = dataclasses.replace(cert, alpha=alpha)
+    report = verify_certificate(g, tampered)
+    assert report.failures == ("largest_size: (lr.b1.1, b1.1) parks a clone of alpha -1 != 0",)
+    assert report == reference_verify(g, tampered)
 
 
 def test_report_ok_is_pure_bookkeeping():
@@ -931,7 +1070,8 @@ def test_block_checks_match_the_pair_by_pair_reference(
         inst = generate_random_instance(params)
         assume(inst.edges)
         g = build_cloned_graph(inst, solve(inst)[0])
-    cert = DualCertificate(_apply_moves(g, dual_assignment(g).alpha, alpha_moves))
+    cert = dual_assignment(g)
+    cert = dataclasses.replace(cert, alpha=_apply_moves(g, cert.alpha, alpha_moves))
     g = dataclasses.replace(g, level=_apply_moves(g, g.level, level_moves))
     assert verify_certificate(g, cert) == reference_verify(g, cert)
 

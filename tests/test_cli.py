@@ -16,7 +16,6 @@ from popcrit import (
     read_trace_csv,
     serialize_instance,
     solve,
-    trace_to_csv,
 )
 from popcrit.cli import main
 
@@ -34,7 +33,7 @@ def test_solve_prints_matching_and_stats(capsys):
         "a1 b1\na2 b2\na3 b2\n"
         "# deficiency 1 (A 1, B 0)\n"
         "# size 3\n"
-        "# proposals 31\n"
+        "# proposals 21\n"
     )
 
 
@@ -59,9 +58,10 @@ def test_solve_emits_trace_and_certificate(tmp_path, capsys):
 
 def test_solve_exits_two_when_the_certificate_fails(monkeypatch, tmp_path, capsys):
     def skewed_dual(g):
-        alpha = dict(dual_assignment(g).alpha)
+        cert = dual_assignment(g)
+        alpha = dict(cert.alpha)
         alpha[g.vertices[0]] += 1
-        return DualCertificate(alpha)
+        return DualCertificate(alpha, cert.potential)
 
     monkeypatch.setattr("popcrit.cli.dual_assignment", skewed_dual)
     cert_path = tmp_path / "cert.txt"
@@ -185,7 +185,7 @@ def test_gen_refuses_a_bad_parameter(args, message, capsys):
 
 def test_trace_replay_matches(tmp_path, capsys):
     assert main(["trace", SHORT_SUPPLY, str(DATA / "short_supply_trace.csv")]) == 0
-    assert capsys.readouterr().out == "MATCH 31 proposals\n"
+    assert capsys.readouterr().out == "MATCH 21 proposals\n"
 
 
 def test_special_names_are_traced_bare_and_replayed(tmp_path, capsys):
@@ -218,7 +218,7 @@ def test_trace_replay_detects_divergence(tmp_path, capsys):
     assert out[2].startswith("actual   ")
 
 
-# The recorded trace of short_supply has a header and 31 rows.
+# The recorded trace of short_supply has a header and 21 rows.
 _RECORDED = (DATA / "short_supply_trace.csv").read_text().splitlines()
 
 
@@ -227,12 +227,12 @@ _RECORDED = (DATA / "short_supply_trace.csv").read_text().splitlines()
     [
         # Shorter: only the fresh trace has row 20.
         (_RECORDED[:20], ["MISMATCH at proposal 20", "actual   " + _RECORDED[20]]),
-        # Longer: only the recording has row 32.
-        (_RECORDED + ["32,a1,0,2,b1,1,-,1"], ["MISMATCH at proposal 32", "expected 32,a1,0,2,b1,1,-,1"]),
+        # Longer: only the recording has row 22.
+        (_RECORDED + ["22,a1,0,2,b1,1,-,1"], ["MISMATCH at proposal 22", "expected 22,a1,0,2,b1,1,-,1"]),
         # The last row differs.
         (
             _RECORDED[:-1] + [_RECORDED[-1] + "0"],
-            ["MISMATCH at proposal 31", "expected " + _RECORDED[-1] + "0", "actual   " + _RECORDED[-1]],
+            ["MISMATCH at proposal 21", "expected " + _RECORDED[-1] + "0", "actual   " + _RECORDED[-1]],
         ),
         # A header without rows.
         (_RECORDED[:1], ["MISMATCH at proposal 1", "actual   " + _RECORDED[1]]),
@@ -267,7 +267,7 @@ def test_trace_with_a_csv_error_after_a_mismatch_exits_one(row, tmp_path, capsys
 
 
 def test_trace_reports_a_bad_header_before_solving(monkeypatch, tmp_path, capsys):
-    def unexpected(inst):
+    def unexpected(inst, cap=None):
         raise AssertionError("solved before the recorded header was checked")
 
     monkeypatch.setattr("popcrit.cli.solve", unexpected)
@@ -278,13 +278,15 @@ def test_trace_reports_a_bad_header_before_solving(monkeypatch, tmp_path, capsys
 
 
 def test_trace_replay_holds_no_row_lists(tmp_path, capsys):
-    # 50,386 proposals, a 1.6 MB CSV.  Reading both traces into row lists,
-    # as the command once did, peaked at 51.9 MB under tracemalloc
-    # (Python 3.11); comparing two streams of rows, the fresh one read back
-    # block by block, peaks at 5.6 MB.
-    inst = generate_random_instance(GenParams(n_a=200, n_b=200, edge_density=0.015, seed=1))
+    # The kept round has 21,524 proposals, a 0.7 MB CSV.  Reading both
+    # traces into row lists, as the command once did, peaks at 19.8 MB
+    # under tracemalloc (Python 3.11); comparing two streams of rows, the
+    # fresh one read back block by block, peaks at 12.0 MB, most of it the
+    # instance and the certificates of the rounds.
+    inst = generate_random_instance(GenParams(n_a=1000, n_b=1000, edge_density=0.01, seed=1))
     (tmp_path / "big.inst").write_text(serialize_instance(inst))
-    (tmp_path / "big.csv").write_text(trace_to_csv(solve(inst)[1]))
+    assert main(["solve", str(tmp_path / "big.inst"), "--emit-trace", str(tmp_path / "big.csv")]) == 0
+    capsys.readouterr()
     tracemalloc.start()
     try:
         code = main(["trace", str(tmp_path / "big.inst"), str(tmp_path / "big.csv")])
@@ -292,7 +294,7 @@ def test_trace_replay_holds_no_row_lists(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert capsys.readouterr().out == "MATCH 50386 proposals\n"
+    assert capsys.readouterr().out == "MATCH 21524 proposals\n"
     assert peak < 16 * 2**20
 
 
@@ -311,7 +313,7 @@ def test_missing_file_exits_one(capsys):
 
 def test_running_out_of_memory_exits_one(monkeypatch, capsys):
     # The command is replaced, so no memory is actually exhausted.
-    def exhausted(inst):
+    def exhausted(inst, cap=None):
         raise MemoryError
 
     monkeypatch.setattr("popcrit.cli.solve", exhausted)
@@ -327,7 +329,7 @@ def test_the_module_runs_as_a_program_with_each_exit_code(tmp_path):
 
     solved = run("solve", SHORT_SUPPLY)
     assert solved.returncode == 0
-    assert solved.stdout.endswith("# proposals 31\n")
+    assert solved.stdout.endswith("# proposals 21\n")
     missing = run("solve", str(tmp_path / "missing.inst"))
     assert missing.returncode == 1
     assert missing.stderr.startswith("error:")
@@ -413,6 +415,8 @@ def test_the_parser_built_once_prints_what_fresh_parsers_print(
 
 # sha256 of the stdout of `popcrit solve --emit-trace` and of the trace CSV
 # for `popcrit gen` instances, recorded before the solver moved to int ids.
+# They pin the paper's range: the command's rounds are replaced by the one
+# round of library `solve(inst)`, so they hold while that stays as it was.
 SOLVE_DIGESTS = [
     (
         ["--n-a", "6", "--n-b", "5", "--seed", "1"],
@@ -448,15 +452,61 @@ SOLVE_DIGESTS = [
     ),
 ]
 
+# The same for the round `popcrit solve` keeps.  The first instance has
+# s = t = 2, so its only round is the paper's range.
+KEPT_ROUND_DIGESTS = [
+    (SOLVE_DIGESTS[0][0], *SOLVE_DIGESTS[0][1:]),
+    (
+        SOLVE_DIGESTS[1][0],
+        "8c69033555b135b07a84eb53faa302cd3c46985b4bcf35dafb3bc4d7a36ccd00",
+        "1cb5aff9063bc7ba8a2aa15e60fc487ccedd9712c6a45458024d2cd58cfac78a",
+    ),
+    (
+        SOLVE_DIGESTS[2][0],
+        "f11368846dbd7d1bbe114eb8e395369d52b50ab7a3f9a4859a7e325ed7e6df41",
+        "dd65139ecfab5374bb11a240f3ce46da6f21c4d6f06536d0ee5b5f610d569e04",
+    ),
+    (
+        SOLVE_DIGESTS[3][0],
+        "a794a131f7d468cc617e9dcf159187d8ecfe268e267188660df512fe55d85f4e",
+        "e0eb73f48d73382494bebcc845c6ab838de6a6e62767502e0f2ed6d7e24f5d19",
+    ),
+    (
+        SOLVE_DIGESTS[4][0],
+        "991d8e82e794b7a1feafa2d692ea934f6e9aa55884b6c91e161f9c9896dcf011",
+        "ffe8be45332a6055187be47ee149878a1e9e388146a58f45fb0d05e0f3832e49",
+    ),
+    (
+        SOLVE_DIGESTS[5][0],
+        "9166c32de220e03adfd0616edd19fca353d84acbfa23c4779b7237c1429eb555",
+        "fdfd1a3773d72305ab89e8fffd8cef79e1924a39b3fe2075f754e382a0eef0e5",
+    ),
+]
 
-@pytest.mark.parametrize("gen_args, stdout_digest, trace_digest", SOLVE_DIGESTS)
-def test_solve_output_matches_pinned_digests(gen_args, stdout_digest, trace_digest, tmp_path, capsys):
+
+def _solve_digests(gen_args, tmp_path, capsys) -> tuple[str, str]:
+    """sha256 of the stdout of `popcrit solve --emit-trace` on a `popcrit
+    gen` instance, and of its trace CSV."""
     inst, trace = tmp_path / "gen.inst", tmp_path / "trace.csv"
     assert main(["gen", *gen_args, "--out", str(inst)]) == 0
     assert main(["solve", str(inst), "--emit-trace", str(trace)]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
+    return hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(trace.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("gen_args, stdout_digest, trace_digest", SOLVE_DIGESTS)
+def test_solve_output_matches_pinned_digests(
+    gen_args, stdout_digest, trace_digest, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "_solve_rounds", lambda inst: (*solve(inst), None))
+    assert _solve_digests(gen_args, tmp_path, capsys) == (stdout_digest, trace_digest)
+
+
+@pytest.mark.parametrize("gen_args, stdout_digest, trace_digest", KEPT_ROUND_DIGESTS)
+def test_solve_output_of_the_kept_round_matches_pinned_digests(
+    gen_args, stdout_digest, trace_digest, tmp_path, capsys
+):
+    assert _solve_digests(gen_args, tmp_path, capsys) == (stdout_digest, trace_digest)
 
 
 def test_solve_traces_a_quota_beyond_64_bits(tmp_path, capsys):

@@ -54,12 +54,12 @@ PREF b3 a3 a2 a1
 """
 
 
-def replay(inst):
-    """Solve, replay the trace against the rules and return the rows with
-    the outcome each one shows."""
-    leveled, trace = solve(inst)
+def replay(inst, cap=None):
+    """Solve, at the paper's range or capped, replay the trace against the
+    rules and return the rows with the outcome each one shows."""
+    leveled, trace = solve(inst, cap=cap)
     text = trace_to_csv(trace)
-    outcomes, levels = check_trace(inst, text)
+    outcomes, levels = check_trace(inst, text, trace.t)
     assert levels == leveled.levels
     return list(zip(read_trace_csv(text), outcomes))
 
@@ -177,14 +177,15 @@ def test_trace_replay_sees_every_outcome(short_supply, one_post, capacity_switch
 
 
 def test_trace_replay_rejects_a_tampered_row(short_supply):
-    lines = trace_to_csv(solve(short_supply)[1]).splitlines()
+    trace = solve(short_supply)[1]
+    lines = trace_to_csv(trace).splitlines()
     assert lines[2] == "2,a2,0,2,b2,1,a2^0,1"
     for column, value in ((3, "1"), (4, "b1"), (5, "2"), (6, "-"), (7, "2")):
         row = lines[2].split(",")
         row[column] = value
         tampered = "\n".join([*lines[:2], ",".join(row), *lines[3:]]) + "\n"
         with pytest.raises(AssertionError):
-            check_trace(short_supply, tampered)
+            check_trace(short_supply, tampered, trace.t)
 
 
 def test_repeat_proposal_at_the_same_level_breaks_an_invariant():
@@ -257,8 +258,50 @@ def test_solve_first_reference_instance(short_supply):
     assert check_output_properties(short_supply, leveled) == []
 
 
+def test_a_capped_run_shortens_the_level_range(short_supply, capacity_switch):
+    # short_supply has s = 4 and t = 1, capacity_switch s = 5 and t = 2.
+    for inst, cap, (t, top) in (
+        (short_supply, 0, (0, 1)),
+        (short_supply, 2, (1, 4)),
+        (capacity_switch, 1, (1, 3)),
+        (capacity_switch, 3, (2, 6)),
+    ):
+        leveled, trace = solve(inst, cap=cap)
+        assert (leveled.t, leveled.top, trace.t) == (t, top, t)
+        assert max(leveled.max_level.values()) <= top
+        assert trace.proposal_count <= (top + 1) * len(inst.edges)
+        assert check_output_properties(inst, leveled) == []
+    # At a cap of max(s, t) or more the run is the paper's, byte for byte.
+    for inst in (short_supply, capacity_switch):
+        paper = solve(inst)
+        for cap in (5, 100):
+            capped = solve(inst, cap=cap)
+            assert capped[0] == paper[0]
+            assert trace_to_csv(capped[1]) == trace_to_csv(paper[1])
+    with pytest.raises(ValueError, match="^cap must be at least 0$"):
+        solve(short_supply, cap=-1)
+
+
+def test_trace_replay_follows_a_capped_run(short_supply, capacity_switch):
+    # The replay reads where the sub-t race ends from the trace, so a run
+    # whose cap shortens t replays as well as the paper's.
+    instances = [short_supply, capacity_switch, parse_instance(SHRUNK)]
+    instances += [
+        generate_random_instance(GenParams(n_a=6, n_b=6, lq_fraction=0.9, seed=seed))
+        for seed in range(20)
+    ]
+    shortened = 0
+    for inst in instances:
+        for cap in (0, 1, 2):
+            assert replay(inst, cap)
+            shortened += solve(inst, cap=cap)[1].t < inst.sum_lower(Side.B)
+    assert shortened > 40
+
+
 def test_first_reference_trace_is_stable(short_supply):
-    _, trace = solve(short_supply)
+    # The reference trace is the one `popcrit solve` writes: the round at
+    # cap 2, the first one its certificate proves.
+    _, trace = solve(short_supply, cap=2)
     assert trace_to_csv(trace) == (DATA / "short_supply_trace.csv").read_text()
 
 

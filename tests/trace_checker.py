@@ -1,8 +1,9 @@
 """A replay of a trace CSV against the proposal rules.
 
 ``check_trace`` reads the rows that ``trace_to_csv`` wrote and checks each
-one from the instance and the matching the earlier rows built, without
-calling the solver:
+one from the instance, the run's t (``Trace.t``, which a capped run
+shortens) and the matching the earlier rows built, without calling the
+solver:
 
 - the receiver is the next entry of the proposer's list at that level, and
   below level t that list holds only lower-quota receivers;
@@ -34,12 +35,12 @@ OUTCOMES = (
 
 
 def check_trace(
-    inst: Instance, text: str
+    inst: Instance, text: str, t: int
 ) -> tuple[list[tuple[str, ...]], dict[tuple[VertexId, VertexId], int]]:
-    """Replay the trace; return the outcomes of OUTCOMES each row shows
-    and the leveled matching the rows end with.  Raises AssertionError at
-    the first row that breaks a rule."""
-    t = inst.sum_lower(Side.B)
+    """Replay the trace of a run whose sub-t race ends at level t; return
+    the outcomes of OUTCOMES each row shows and the leveled matching the
+    rows end with.  Raises AssertionError at the first row that breaks a
+    rule."""
     ids = inst.name_to_id
     # Each matched edge's level, under both of its endpoints.
     partners: dict[VertexId, dict[VertexId, int]] = {
