@@ -14,33 +14,38 @@ after exhausting its list keeps climbing with its capacity clamped to that
 lower quota.
 
 ``solve`` runs the algorithm with a FIFO queue seeded in A-declaration
-order.  It is the one place that derives the level range from the
-quotas and the cap: the run carries it, as ``LeveledMatching.t`` and
+order.  It is the one place that derives the level range from the quotas
+and the cap: the run carries it, as ``LeveledMatching.t`` and
 ``LeveledMatching.top`` and as ``Trace.t``, and the trace renderer, the
 property check and the certificate read it from there.  The paper's
 guarantees hold at the paper's range; ``popcrit solve`` runs short ranges
 first and keeps the first answer its certificate proves.  It works on
-plain int vertex indices: it builds per-side quota,
-preference and rank tables once per call and keeps a per-receiver count of
-partners below level t, so each proposal costs O(1) apart from choosing
-the receiver's worst partner when it is full.  Each proposal appends one
-row of ``_WIDTH`` ints, packed by ``_ROW`` into 56 bytes, to one
-``bytearray``; the row stores no quota, only what the quotas are read from
-(the level, and whether the receiver offered its lower or its upper
-quota).  The trace holds a read-only ``memoryview`` of that buffer cast to
-ints, so the record is never copied.  The upper-quota invariant is checked
-after each proposal the receiver accepts, the only kind that can raise a
-count.  ``Trace.events`` decodes the record into ``ProposalEvent``s on
-first access.  ``_csv_blocks`` renders it as CSV without decoding it,
-naming the vertices of the trace's own instance ``Trace.inst``, so a
-trace cannot be rendered against another instance.  ``validate_instance``
-refuses a name that holds a comma, a double quote or whitespace, so every
-name is written bare, as ``csv.writer`` would write it.  The renderer yields
-the header and the rows of each block of ``_CHUNK`` proposals, taking each
-column of a block as one strided slice and joining one f-string per row.
-``trace_to_csv`` joins those pieces, and ``popcrit trace`` reads them back
-one block at a time.  The trace is deterministic: equal instances give
-byte-identical trace CSVs.
+plain int vertex indices: it builds per-side quota, preference and rank
+tables once per call and keeps a per-receiver count of partners below
+level t, so each proposal costs O(1) apart from choosing the receiver's
+worst partner when it is full.  A proposer climbs only once its list at
+its level is used up, and one level at a time from 0, so below its peak
+level every list of its is used up: it keeps one cursor, at its peak, and
+a copy evicted below the peak re-enters there and climbs back without
+proposing.  The queue holds bare proposer indices; each proposer's peak,
+cursor and queued level are three lists indexed by proposer.  Each
+proposal appends one row of ``_WIDTH`` ints, packed by ``_ROW`` into 56
+bytes, to one ``bytearray``; the row stores no quota, only what the quotas
+are read from (the level, and whether the receiver offered its lower or
+its upper quota).  The trace holds a read-only ``memoryview`` of that
+buffer cast to ints, so the record is never copied.  The upper-quota
+invariant is checked after each proposal the receiver accepts, the only
+kind that can raise a count.  ``Trace.events`` decodes the record into
+``ProposalEvent``s on first access.  ``_csv_blocks`` renders it as CSV
+without decoding it, naming the vertices of the trace's own instance
+``Trace.inst``, so a trace cannot be rendered against another instance.
+``validate_instance`` refuses a name that holds a comma, a double quote or
+whitespace, so every name is written bare, as ``csv.writer`` would write
+it.  The renderer yields the header and the rows of each block of
+``_CHUNK`` proposals, taking each column of a block as one strided slice
+and joining one f-string per row.  ``trace_to_csv`` joins those pieces,
+and ``popcrit trace`` reads them back one block at a time.  The trace is
+deterministic: equal instances give byte-identical trace CSVs.
 
 Every trace CSV is read through ``_trace_rows``, which checks the header
 and reports a CSV error as ValueError: ``read_trace_csv`` reads a text
@@ -149,8 +154,13 @@ def solve(inst: Instance, cap: Optional[int] = None) -> tuple[LeveledMatching, T
     deficiency matchings.  A capped run is the same algorithm on fewer
     levels, and carries no such guarantee: its certificate must prove it.
     The number of proposals is bounded by (top + 1) * |E|, top = s' + t' +
-    1 being the highest level.  Raises ValueError for a negative cap.
+    1 being the highest level.  Raises TypeError for a cap that is not an
+    int, and ValueError for a negative one.
     """
+    if not isinstance(cap, (int, type(None))):
+        raise TypeError(f"cap must be an int or None, not {type(cap).__name__}")
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be at least 0")
     a_names, b_names = inst.a_names, inst.b_names
     n_a, n_b = len(a_names), len(b_names)
     a_lower = [q.lower for q in inst.a_quotas]
@@ -162,8 +172,6 @@ def solve(inst: Instance, cap: Optional[int] = None) -> tuple[LeveledMatching, T
     b_rank = [{a.index: r for r, a in enumerate(p)} for p in inst.b_prefs]
     s, t = sum(a_lower), sum(b_lower)
     if cap is not None:
-        if cap < 0:
-            raise ValueError("cap must be at least 0")
         s, t = min(s, cap), min(t, cap)
     top = s + t + 1
     budget = (top + 1) * len(inst.edges)
@@ -174,25 +182,26 @@ def solve(inst: Instance, cap: Optional[int] = None) -> tuple[LeveledMatching, T
     b_held: list[dict[int, int]] = [{} for _ in range(n_b)]
     b_low = [0] * n_b
     size = 0
+    # Per proposer: its peak level, its cursor into its list at that
+    # level, and the level it is queued at (-1 while it is not queued; it
+    # is queued at most once).  A proposer climbs only once its list at
+    # its level is used up, so below its peak every list is used up and
+    # one cursor serves.  A vertex without capacity never proposes.
     max_level = [0] * n_a
-    # A queued copy (a, level) is the int level * n_a + a, which also keys
-    # the cursor into a's list at that level.  A vertex without capacity
-    # never proposes.
-    queue = deque(a for a in range(n_a) if a_upper[a] > 0)
-    queued = bytearray(a_upper[a] > 0 for a in range(n_a))
-    cursors: dict[int, int] = {}
+    cursors = [0] * n_a
+    at = [0 if q > 0 else -1 for q in a_upper]
+    queue = deque(a for a in range(n_a) if at[a] == 0)
     record = bytearray()
     pack = _ROW.pack
     count = 0
 
     while queue:
-        key = queue.popleft()
-        level, a = divmod(key, n_a)
-        queued[a] = 0
+        a = queue.popleft()
+        level, at[a] = at[a], -1
         options = a_pref_lq[a] if level < t else a_pref[a]
-        cursor = cursors.get(key, 0)
+        cursor = cursors[a] if level == max_level[a] else len(options)
         if cursor < len(options):
-            cursors[key] = cursor + 1
+            cursors[a] = cursor + 1
             b = options[cursor]
             mine, held = a_held[a], b_held[b]
             if level < t or b_low[b]:
@@ -237,9 +246,9 @@ def solve(inst: Instance, cap: Optional[int] = None) -> tuple[LeveledMatching, T
                     b_low[b] += (level < t) - (worst_level < t)
                     rej, rej_level = worst, worst_level
                     # The evicted copy re-enters at the level it held.
-                    if not queued[worst]:
-                        queue.append(worst_level * n_a + worst)
-                        queued[worst] = 1
+                    if at[worst] < 0:
+                        queue.append(worst)
+                        at[worst] = worst_level
                 else:
                     rej, rej_level = a, level
             else:
@@ -247,9 +256,10 @@ def solve(inst: Instance, cap: Optional[int] = None) -> tuple[LeveledMatching, T
                 # capacity (it shrank since those partners were accepted).
                 rej, rej_level = a, level
             q_a = a_upper[a] if level <= t + 1 else a_lower[a]
-            if len(mine) < q_a and not queued[a]:
-                queue.append(key)
-                queued[a] = 1
+            # a is not queued: an eviction only requeues a copy b held.
+            if len(mine) < q_a:
+                queue.append(a)
+                at[a] = level
             count += 1
             if count > budget:
                 raise InvariantError(f"proposal budget {budget} exceeded")
@@ -260,10 +270,10 @@ def solve(inst: Instance, cap: Optional[int] = None) -> tuple[LeveledMatching, T
                 )
             record += pack(a, level, b, upper_b, rej, rej_level, size)
         elif level <= t or (level < top and len(a_held[a]) < a_lower[a]):
-            queue.append(key + n_a)
-            queued[a] = 1
-            if level + 1 > max_level[a]:
-                max_level[a] = level + 1
+            queue.append(a)
+            at[a] = level + 1
+            if level == max_level[a]:
+                max_level[a], cursors[a] = level + 1, 0
 
     a_ids = list(inst.vertices(Side.A))
     b_ids = list(inst.vertices(Side.B))
@@ -272,8 +282,7 @@ def solve(inst: Instance, cap: Optional[int] = None) -> tuple[LeveledMatching, T
         for a in range(n_a)
         for b, level in a_held[a].items()
     }
-    max_levels = {a_ids[a]: level for a, level in enumerate(max_level)}
-    leveled = LeveledMatching(levels=levels, max_level=max_levels, t=t, top=top)
+    leveled = LeveledMatching(levels, dict(zip(a_ids, max_level)), t, top)
     return leveled, Trace(inst, memoryview(record).toreadonly().cast("q"), t)
 
 

@@ -280,6 +280,53 @@ def test_a_capped_run_shortens_the_level_range(short_supply, capacity_switch):
             assert trace_to_csv(capped[1]) == trace_to_csv(paper[1])
     with pytest.raises(ValueError, match="^cap must be at least 0$"):
         solve(short_supply, cap=-1)
+    # A float cap would run a half-integral level range, and a str cap
+    # would fail at its first comparison; both are refused up front.
+    for cap, name in ((2.5, "float"), ("2", "str")):
+        with pytest.raises(TypeError, match=f"^cap must be an int or None, not {name}$"):
+            solve(short_supply, cap=cap)
+
+
+# Each A vertex's peak level, at the paper's range and at cap 2.
+PEAKS = [
+    ("short_supply", None, {"a1": 6, "a2": 6, "a3": 5}),
+    ("short_supply", 2, {"a1": 4, "a2": 4, "a3": 3}),
+    ("capacity_switch", None, {"a1": 4, "a2": 4, "a3": 3, "a4": 2}),
+    ("capacity_switch", 2, {"a1": 4, "a2": 4, "a3": 3, "a4": 2}),
+]
+
+
+@pytest.mark.parametrize("name,cap,peaks", PEAKS)
+def test_peak_levels_are_stable(name, cap, peaks, request):
+    inst = request.getfixturevalue(name)
+    leveled, _ = solve(inst, cap=cap)
+    assert {inst.name(a): peak for a, peak in leveled.max_level.items()} == peaks
+
+
+def test_a_proposer_never_proposes_below_its_peak(short_supply, capacity_switch):
+    # A proposer climbs only once its list at its level is used up, so it
+    # never proposes below a level it has reached; solve keeps one cursor
+    # per proposer for that reason.  A copy evicted below its owner's peak
+    # re-enters there and climbs back without proposing.
+    instances = [short_supply, capacity_switch] + [
+        generate_random_instance(GenParams(n_a=6, n_b=6, seed=seed)) for seed in range(300)
+    ]
+    evicted_below_peak = 0
+    for inst in instances:
+        for cap in (None, 2):
+            leveled, trace = solve(inst, cap=cap)
+            text = trace_to_csv(trace)
+            check_trace(inst, text, trace.t)
+            peak: dict[str, int] = {}
+            for _, a, level, _, _, _, rejected, _ in read_trace_csv(text):
+                assert int(level) >= peak.get(a, 0)
+                peak[a] = int(level)
+                owner, _, copy = rejected.partition("^")
+                if owner not in ("-", a):
+                    evicted_below_peak += int(copy) < peak.get(owner, 0)
+            for a, last in peak.items():
+                assert leveled.max_level[inst.name_to_id[a]] >= last
+    assert evicted_below_peak > 0
 
 
 def test_trace_replay_follows_a_capped_run(short_supply, capacity_switch):
